@@ -73,26 +73,23 @@ func TestParseCapturesGoMaxProcs(t *testing.T) {
 	}
 }
 
-func TestLaneMismatch(t *testing.T) {
-	base := &Doc{GoMaxProcs: 8, Lanes: "auto"}
-	cur := &Doc{GoMaxProcs: 8, Lanes: "auto"}
-	if err := LaneMismatch(base, cur); err != nil {
+func TestProcsMismatch(t *testing.T) {
+	base := &Doc{GoMaxProcs: 8}
+	cur := &Doc{GoMaxProcs: 8}
+	if err := ProcsMismatch(base, cur); err != nil {
 		t.Fatalf("matching configs refused: %v", err)
 	}
 
-	if err := LaneMismatch(base, &Doc{GoMaxProcs: 1, Lanes: "auto"}); err == nil {
+	if err := ProcsMismatch(base, &Doc{GoMaxProcs: 1}); err == nil {
 		t.Fatal("GOMAXPROCS 8 vs 1 accepted")
 	}
-	if err := LaneMismatch(base, &Doc{GoMaxProcs: 8, Lanes: "2"}); err == nil {
-		t.Fatal("lanes auto vs 2 accepted")
-	}
 
-	// Sides that predate the fields are unknown, not mismatched: old
+	// Sides that predate the field are unknown, not mismatched: old
 	// baselines must age out gracefully rather than brick the gate.
-	if err := LaneMismatch(&Doc{}, cur); err != nil {
+	if err := ProcsMismatch(&Doc{}, cur); err != nil {
 		t.Fatalf("legacy baseline refused: %v", err)
 	}
-	if err := LaneMismatch(base, &Doc{}); err != nil {
+	if err := ProcsMismatch(base, &Doc{}); err != nil {
 		t.Fatalf("unknown current refused: %v", err)
 	}
 }

@@ -120,9 +120,8 @@ func chaosSpace() (*mem.AddressSpace, mem.Region, mem.Region, error) {
 }
 
 // workloadNames is the workload matrix cases cycle through.  The
-// "multicore" row drives both cores under parallel window lanes (DESIGN.md
-// §12), so fault plans soak the lane scheduler's bail-out and barrier
-// paths, not just the single-core sweep.
+// "multicore" row drives two cores at once, so fault plans soak the
+// engine's interleaving of cores' steps, not just single-core stepping.
 var workloadNames = [...]string{"stream", "chase", "zipf", "multicore"}
 
 // workloadFor derives the case's workload from its seed.
@@ -133,7 +132,7 @@ func workloadFor(seed uint64) string {
 // buildWorkloads constructs the named case's per-core generators.  Single
 // workload names drive core 0 over the CXL region; the "multicore" row
 // returns one generator per core — a CXL stream racing a mostly-local
-// Zipf — which Run schedules on parallel window lanes.
+// Zipf.
 func buildWorkloads(name string, local, cxlr workload.Region, seed uint64) ([]workload.Generator, error) {
 	switch name {
 	case "stream":
@@ -294,11 +293,6 @@ func runCase(c Case, extra []Invariant, charge func(uint64) error, fp *forkProbe
 	fl := obs.NewFlight(cfg.Cores, flightRingCap, flightTailCap)
 	fl.Enable()
 	m.SetFlight(fl)
-	if len(gens) > 1 {
-		// Multi-core rows run on parallel lanes regardless of GOMAXPROCS,
-		// so every soak exercises the window scheduler under faults.
-		m.SetLanes(len(gens))
-	}
 	for i, g := range gens {
 		m.Attach(i, g)
 	}

@@ -3,23 +3,21 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"pathfinder/internal/sim"
 )
 
 // Checkpoint restore-equivalence golden suite: for every fastpath golden
 // scenario — including the fault-plan, viral-escalation, and surprise-
 // removal cases — a machine restored from a warm checkpoint must produce
 // byte-identical per-epoch snapshot digests to a scratch machine that ran
-// the same span, across every core-step scheduling mode.  The Capturer is
+// the same span, with the run-ahead fast path on and off.  The Capturer is
 // delta-based, so both machines get their capturer attached at the warm
 // barrier and only suffix epochs are compared.
 
 // runCheckpointGolden runs scenario `name` three ways — scratch, source
-// continued past its own checkpoint, and a fork restored on lane mode
-// `lanes` — and requires identical digests from all three.
-func runCheckpointGolden(t *testing.T, name string, lanes int) {
-	epochs, cyc, setup := goldenScenario(t, name)
+// continued past its own checkpoint, and a restored fork with the run-ahead
+// fast path set to runAhead — and requires identical digests from all three.
+func runCheckpointGolden(t *testing.T, name string, runAhead bool) {
+	_, epochs, cyc, setup := goldenScenario(t, name)
 	warm := cyc // first epoch's worth of cycles is the shared prefix
 
 	scratchDigests := func() []Digest {
@@ -61,85 +59,43 @@ func runCheckpointGolden(t *testing.T, name string, lanes int) {
 		cleanup()
 	}
 
-	// The fork runs the identical suffix on the requested lane mode.
+	// The fork runs the identical suffix in the requested engine mode.
 	fork := cp.Restore()
-	fork.SetLanes(lanes)
+	fork.SetRunAhead(runAhead)
 	forkCap := NewCapturer(fork)
 	for e := 0; e < epochs; e++ {
 		fork.Run(cyc)
 		got := EncodeDigest(forkCap.Capture())
 		if !bytes.Equal(want[e], got) {
-			t.Errorf("scenario %s lanes %d: restored epoch %d digest differs from scratch", name, lanes, e)
+			t.Errorf("scenario %s runAhead=%v: restored epoch %d digest differs from scratch", name, runAhead, e)
 			diffDigests(t, want[e], got)
 		}
 	}
 }
 
-func checkpointGoldenAllLanes(t *testing.T, name string) {
+func checkpointGoldenBothModes(t *testing.T, name string) {
 	t.Helper()
-	for _, lanes := range []int{-1, 1, 2} {
-		runCheckpointGolden(t, name, lanes)
+	for _, runAhead := range []bool{false, true} {
+		runCheckpointGolden(t, name, runAhead)
 	}
 }
 
 func TestCheckpointGoldenSingleCoreLocal(t *testing.T) {
-	checkpointGoldenAllLanes(t, "SingleCoreLocal")
+	checkpointGoldenBothModes(t, "SingleCoreLocal")
 }
 
 func TestCheckpointGoldenSingleCoreCXL(t *testing.T) {
-	checkpointGoldenAllLanes(t, "SingleCoreCXL")
+	checkpointGoldenBothModes(t, "SingleCoreCXL")
 }
 
 func TestCheckpointGoldenMultiCoreMixed(t *testing.T) {
-	checkpointGoldenAllLanes(t, "MultiCoreMixed")
+	checkpointGoldenBothModes(t, "MultiCoreMixed")
 }
 
 func TestCheckpointGoldenFaultPlan(t *testing.T) {
-	checkpointGoldenAllLanes(t, "FaultPlan")
+	checkpointGoldenBothModes(t, "FaultPlan")
 }
 
 func TestCheckpointGoldenSurpriseRemoval(t *testing.T) {
-	checkpointGoldenAllLanes(t, "SurpriseRemoval")
-}
-
-// TestCheckpointGoldenLaneTransitions pins restore-then-SetLanes ordering:
-// switching scheduling modes between suffix epochs on a restored machine
-// must match a fresh machine making the same transitions at the same
-// cycles.
-func TestCheckpointGoldenLaneTransitions(t *testing.T) {
-	const name = "MultiCoreMixed"
-	epochs, cyc, setup := goldenScenario(t, name)
-	warm := cyc
-	transitions := []int{2, -1, 1, 2}
-
-	run := func(m *sim.Machine) []Digest {
-		cap := NewCapturer(m)
-		var out []Digest
-		for e := 0; e < epochs; e++ {
-			m.SetLanes(transitions[e%len(transitions)])
-			m.Run(cyc)
-			out = append(out, EncodeDigest(cap.Capture()))
-		}
-		return out
-	}
-
-	fresh, localReg, cxlReg := testRig(t)
-	setup(t, fresh, region(localReg), region(cxlReg))
-	fresh.Run(warm)
-	want := run(fresh)
-
-	src, localReg2, cxlReg2 := testRig(t)
-	setup(t, src, region(localReg2), region(cxlReg2))
-	src.Run(warm)
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := run(cp.Restore())
-	for e := range want {
-		if !bytes.Equal(want[e], got[e]) {
-			t.Errorf("epoch %d digest differs across restore-then-SetLanes transitions", e)
-			diffDigests(t, want[e], got[e])
-		}
-	}
+	checkpointGoldenBothModes(t, "SurpriseRemoval")
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"pathfinder/internal/cxl"
@@ -17,6 +19,8 @@ import (
 // these tests run identical fixed-seed scenarios with the fast path on
 // and forced off, and require the captured snapshot digests — every PMU
 // counter of every bank, serialized — to be byte-identical per epoch.
+// Both modes must also reproduce a pinned digest hash per scenario, so a
+// change that moves the engine's output in both modes at once still fails.
 
 // fastpathScenario configures a freshly built rig (workloads, fault
 // plans, tracer).  It runs twice per test, once per engine mode, so both
@@ -49,12 +53,29 @@ func runFastpath(t *testing.T, fast bool, epochs int, cyc sim.Cycles, setup fast
 	return out
 }
 
-// fastpathGolden asserts byte-identical digests between the two modes and
-// that the fast-path run actually exercised inline stepping.
-func fastpathGolden(t *testing.T, epochs int, cyc sim.Cycles, setup fastpathScenario) {
+// pinHash is the sha256 (first 16 bytes, hex) of a run's per-epoch digests,
+// concatenated in epoch order.
+func (r fastpathRun) pinHash() string {
+	h := sha256.New()
+	for _, d := range r.digests {
+		h.Write(d)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// fastpathGolden asserts byte-identical digests between the two modes,
+// that both reproduce the pinned hash, and that the fast-path run actually
+// exercised inline stepping.
+func fastpathGolden(t *testing.T, pin string, epochs int, cyc sim.Cycles, setup fastpathScenario) {
 	t.Helper()
 	on := runFastpath(t, true, epochs, cyc, setup)
 	off := runFastpath(t, false, epochs, cyc, setup)
+	if got := on.pinHash(); got != pin {
+		t.Errorf("run-ahead digest hash %s, pinned %s", got, pin)
+	}
+	if got := off.pinHash(); got != pin {
+		t.Errorf("dispatch-only digest hash %s, pinned %s", got, pin)
+	}
 	if on.now != off.now {
 		t.Fatalf("final clock differs: fast=%d dispatch=%d", on.now, off.now)
 	}
@@ -95,28 +116,28 @@ func diffDigests(t *testing.T, a, b Digest) {
 	}
 }
 
-// goldenScenarios is the shared scenario table: every engine-equivalence
-// suite — run-ahead fastpath (this file) and the windowed sweep/parallel
-// lane modes (window_test.go) — runs each entry against the dispatch-only
-// baseline and requires byte-identical digests.  The tracer scenario stays
-// a standalone test in both files because it captures tracer statistics.
+// goldenScenarios is the shared scenario table of the run-ahead (this file)
+// and checkpoint restore-equivalence suites.  pin is the scenario's digest
+// hash (see pinHash).  The tracer and flight scenarios are standalone tests
+// because they capture attachment statistics.
 var goldenScenarios = []struct {
 	name   string
+	pin    string
 	epochs int
 	cyc    sim.Cycles
 	setup  fastpathScenario
 }{
-	{"SingleCoreLocal", 3, 1_000_000,
+	{"SingleCoreLocal", "0bfc836e219a6729844deb23f68c13b2", 3, 1_000_000,
 		func(t *testing.T, m *sim.Machine, local, _ workload.Region) func() {
 			m.Attach(0, workload.NewStream(local, 2, 0.2, 1))
 			return nil
 		}},
-	{"SingleCoreCXL", 3, 1_000_000,
+	{"SingleCoreCXL", "a988a64dc341f78a5d47bac49d638a9e", 3, 1_000_000,
 		func(t *testing.T, m *sim.Machine, _, cxlReg workload.Region) func() {
 			m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 2))
 			return nil
 		}},
-	{"MultiCoreMixed", 3, 1_500_000,
+	{"MultiCoreMixed", "508a27df7eece702dee309d19e88906f", 3, 1_500_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 			m.Attach(0, workload.NewStream(local, 2, 0.2, 1))
 			m.Attach(1, workload.NewStream(cxlReg, 2, 0.3, 2))
@@ -124,7 +145,7 @@ var goldenScenarios = []struct {
 			m.Attach(3, workload.NewStream(local, 0, 0, 4))
 			return nil
 		}},
-	{"FaultPlan", 3, 1_500_000,
+	{"FaultPlan", "5959ec05db079b6dc8dfb882444648b5", 3, 1_500_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 			m.SetFaultPlan(0, &cxl.FaultPlan{
 				Seed:    7,
@@ -142,7 +163,7 @@ var goldenScenarios = []struct {
 			m.Attach(2, workload.NewStream(local, 2, 0.2, 4))
 			return nil
 		}},
-	{"SurpriseRemoval", 3, 800_000,
+	{"SurpriseRemoval", "c23abbfdecef1d7e928ea6bdbbd82f7e", 3, 800_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 			m.SetFaultPlan(0, &cxl.FaultPlan{Seed: 1, RemoveAt: 500_000})
 			m.Attach(0, workload.NewStream(cxlReg, 0, 0, 1))
@@ -151,49 +172,46 @@ var goldenScenarios = []struct {
 		}},
 }
 
+// attachedPin is the digest hash of the tracer- and flight-attached
+// scenarios: both run the same workloads, and neither attachment perturbs
+// timing.
+const attachedPin = "87d1a3b63236acbb55fa2e0d10093f7d"
+
 // goldenScenario returns the named entry of goldenScenarios.
-func goldenScenario(t *testing.T, name string) (int, sim.Cycles, fastpathScenario) {
+func goldenScenario(t *testing.T, name string) (pin string, epochs int, cyc sim.Cycles, setup fastpathScenario) {
 	t.Helper()
 	for _, s := range goldenScenarios {
 		if s.name == name {
-			return s.epochs, s.cyc, s.setup
+			return s.pin, s.epochs, s.cyc, s.setup
 		}
 	}
 	t.Fatalf("unknown golden scenario %q", name)
-	return 0, 0, nil
+	return "", 0, 0, nil
 }
 
-func TestFastpathGoldenSingleCoreLocal(t *testing.T) {
-	e, c, s := goldenScenario(t, "SingleCoreLocal")
-	fastpathGolden(t, e, c, s)
+// fastpathGoldenNamed runs fastpathGolden on the named table entry.
+func fastpathGoldenNamed(t *testing.T, name string) {
+	t.Helper()
+	pin, epochs, cyc, setup := goldenScenario(t, name)
+	fastpathGolden(t, pin, epochs, cyc, setup)
 }
 
-func TestFastpathGoldenSingleCoreCXL(t *testing.T) {
-	e, c, s := goldenScenario(t, "SingleCoreCXL")
-	fastpathGolden(t, e, c, s)
-}
+func TestFastpathGoldenSingleCoreLocal(t *testing.T) { fastpathGoldenNamed(t, "SingleCoreLocal") }
 
-func TestFastpathGoldenMultiCoreMixed(t *testing.T) {
-	e, c, s := goldenScenario(t, "MultiCoreMixed")
-	fastpathGolden(t, e, c, s)
-}
+func TestFastpathGoldenSingleCoreCXL(t *testing.T) { fastpathGoldenNamed(t, "SingleCoreCXL") }
 
-func TestFastpathGoldenFaultPlan(t *testing.T) {
-	e, c, s := goldenScenario(t, "FaultPlan")
-	fastpathGolden(t, e, c, s)
-}
+func TestFastpathGoldenMultiCoreMixed(t *testing.T) { fastpathGoldenNamed(t, "MultiCoreMixed") }
 
-func TestFastpathGoldenSurpriseRemoval(t *testing.T) {
-	e, c, s := goldenScenario(t, "SurpriseRemoval")
-	fastpathGolden(t, e, c, s)
-}
+func TestFastpathGoldenFaultPlan(t *testing.T) { fastpathGoldenNamed(t, "FaultPlan") }
+
+func TestFastpathGoldenSurpriseRemoval(t *testing.T) { fastpathGoldenNamed(t, "SurpriseRemoval") }
 
 func TestFastpathGoldenTracerAttached(t *testing.T) {
 	var stats [2]struct {
 		committed, dropped uint64
 	}
 	i := 0
-	fastpathGolden(t, 2, 1_000_000,
+	fastpathGolden(t, attachedPin, 2, 1_000_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 			// Sampling every 4th op mixes traced (dispatch-forced) and
 			// untraced (inline-eligible) ops in the same run.
@@ -227,7 +245,7 @@ func TestFastpathGoldenFlightAttached(t *testing.T) {
 		records, promoted uint64
 	}
 	i := 0
-	fastpathGolden(t, 2, 1_000_000,
+	fastpathGolden(t, attachedPin, 2, 1_000_000,
 		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
 			fl := obs.NewFlight(m.Cores(), 2048, 128)
 			fl.Enable()

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pathfinder/internal/pmu"
 	"pathfinder/internal/sim"
@@ -162,22 +161,23 @@ type Snapshot struct {
 	idx   *BankIndex
 	arena []uint64
 
-	pool *sync.Pool // recycler; nil for snapshots not owned by a capturer
+	owner *Capturer // recycler; nil for snapshots not owned by a capturer
 }
 
 // Index returns the snapshot's bank layout.
 func (s *Snapshot) Index() *BankIndex { return s.idx }
 
-// Release returns the snapshot to its capturer's recycler.  After Release
+// Release returns the snapshot to its capturer's free list.  After Release
 // the snapshot must not be read again; snapshots that did not come from a
-// capturer (decoded digests, hand-built tests) ignore it.
+// capturer (decoded digests, hand-built tests) ignore it.  Like Capture, it
+// must run on the goroutine that owns the capturer.
 func (s *Snapshot) Release() {
-	p := s.pool
-	if p == nil {
+	c := s.owner
+	if c == nil {
 		return
 	}
-	s.pool = nil // double-Release is a no-op, not a pool corruption
-	p.Put(s)
+	s.owner = nil // double-Release is a no-op, not a free-list corruption
+	c.free = append(c.free, s)
 }
 
 // bankDelta returns the delta vector of a named bank.  Unknown names are a
@@ -194,15 +194,15 @@ func (s *Snapshot) bankDelta(name string) []uint64 {
 
 // Capturer produces snapshots from a machine by differencing bank totals
 // between epochs.  It owns the machine's BankIndex, a reused pair of total
-// arenas, and a sync.Pool of recycled snapshots, so steady-state epoch
-// loops capture without allocating.
+// arenas, and a free list of released snapshots, so steady-state epoch
+// loops capture without allocating.  A capturer belongs to one goroutine.
 type Capturer struct {
 	m     *sim.Machine
 	idx   *BankIndex
 	banks []*pmu.Bank // slot order
 	prev  []uint64    // bank totals at the previous capture
 	cur   []uint64    // scratch for the current totals
-	pool  *sync.Pool
+	free  []*Snapshot // released snapshots, reused last-in first-out
 	seq   int
 	last  sim.Cycles
 
@@ -217,7 +217,6 @@ func NewCapturer(m *sim.Machine) *Capturer {
 		m:     m,
 		idx:   IndexFor(m),
 		banks: m.Banks(),
-		pool:  &sync.Pool{},
 	}
 	c.prev = make([]uint64, c.idx.ArenaLen())
 	c.cur = make([]uint64, c.idx.ArenaLen())
@@ -243,22 +242,22 @@ func (c *Capturer) copyTotals(dst []uint64) {
 func (c *Capturer) Capture() *Snapshot {
 	c.m.Sync()
 	now := c.m.Now()
-	s, _ := c.pool.Get().(*Snapshot)
-	if s == nil {
+	var s *Snapshot
+	if n := len(c.free); n > 0 {
+		c.poolHits++
+		s = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
 		c.poolMisses++
 		s = &Snapshot{arena: make([]uint64, c.idx.ArenaLen())}
-	} else {
-		c.poolHits++
-		if len(s.arena) != c.idx.ArenaLen() {
-			s.arena = make([]uint64, c.idx.ArenaLen())
-		}
 	}
 	s.Seq = c.seq
 	s.Start = c.last
 	s.End = now
 	s.Truncated = false
 	s.idx = c.idx
-	s.pool = c.pool
+	s.owner = c
 	c.seq++
 	c.last = now
 
@@ -271,8 +270,8 @@ func (c *Capturer) Capture() *Snapshot {
 	return s
 }
 
-// PoolStats reports how many Captures recycled a snapshot versus had to
-// allocate one.
+// PoolStats reports how many Captures reused a released snapshot versus had
+// to allocate one.
 func (c *Capturer) PoolStats() (hits, misses uint64) {
 	return c.poolHits, c.poolMisses
 }

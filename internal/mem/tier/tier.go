@@ -141,7 +141,10 @@ func (t *Manager) promotionAllowed() bool {
 
 // Tick performs one migration pass: demote cold local pages if the local
 // node is over its watermark, then promote hot CXL pages within the
-// migration budget.  It returns the number of pages moved.
+// migration budget.  It returns the number of pages moved.  Both passes
+// visit pages in a total order — demotion by (last touch, page), promotion
+// by (heat descending, page) — so which pages fit the budget never depends
+// on map iteration order.
 func (t *Manager) Tick() (promoted, demoted int) {
 	budget := t.cfg.MaxMigrationsPerTick
 
@@ -160,7 +163,12 @@ func (t *Manager) Tick() (promoted, demoted int) {
 				delete(t.lastTouch, p)
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].touch != cands[j].touch {
+				return cands[i].touch < cands[j].touch
+			}
+			return cands[i].page < cands[j].page
+		})
 		for _, c := range cands {
 			if demoted >= budget/2 {
 				break
@@ -177,12 +185,21 @@ func (t *Manager) Tick() (promoted, demoted int) {
 
 	// Promotion of hot CXL pages.
 	if t.promotionAllowed() {
+		hot := make([]uint64, 0, len(t.heat))
 		for page, h := range t.heat {
+			if int(h) >= t.cfg.PromoteThreshold {
+				hot = append(hot, page)
+			}
+		}
+		sort.Slice(hot, func(i, j int) bool {
+			if hi, hj := t.heat[hot[i]], t.heat[hot[j]]; hi != hj {
+				return hi > hj
+			}
+			return hot[i] < hot[j]
+		})
+		for _, page := range hot {
 			if promoted >= budget {
 				break
-			}
-			if int(h) < t.cfg.PromoteThreshold {
-				continue
 			}
 			if t.as.NodeOf(page) != t.cxl {
 				delete(t.heat, page)

@@ -202,3 +202,74 @@ func TestMigrationFailureStopsPromotion(t *testing.T) {
 		t.Fatal("promotion succeeded despite migrator failure")
 	}
 }
+
+// orderMigrator is a fakeMigrator that also logs every move in order.
+type orderMigrator struct {
+	fakeMigrator
+	log []uint64
+}
+
+func (o *orderMigrator) MigratePage(addr uint64, dst mem.NodeID) error {
+	if err := o.fakeMigrator.MigratePage(addr, dst); err != nil {
+		return err
+	}
+	o.log = append(o.log, addr)
+	return nil
+}
+
+// TestTickOrderDeterministic: with many equal-heat pages and a budget far
+// below the candidate count, fresh managers fed the same accesses must
+// migrate the same pages in the same order — hottest first, ties by page —
+// and demote by (last touch, page).
+func TestTickOrderDeterministic(t *testing.T) {
+	run := func() []uint64 {
+		as := mem.NewAddressSpace(12, []mem.Node{
+			{ID: 0, Kind: mem.LocalDRAM, Capacity: 16 * 4096},
+			{ID: 1, Kind: mem.CXLDRAM, Device: 0, Capacity: 1 << 30},
+		})
+		r, err := as.Alloc(64*4096, mem.Fixed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.MaxMigrationsPerTick = 8
+		mig := &orderMigrator{fakeMigrator: fakeMigrator{as: as}}
+		m, _ := NewManager(as, mig, 0, 1, cfg)
+		for tick := 0; tick < 6; tick++ {
+			// Every page equally warm; pages 60..63 hotter still.
+			for pass := 0; pass < 2; pass++ {
+				for p := uint64(0); p < 64; p++ {
+					m.ObserveAccess(r.Base + p*4096)
+				}
+			}
+			for p := uint64(60); p < 64; p++ {
+				m.ObserveAccess(r.Base + p*4096)
+			}
+			m.Tick()
+		}
+		return mig.log
+	}
+	first := run()
+	if len(first) < 16 {
+		t.Fatalf("only %d migrations; the scenario must exercise promotion and demotion", len(first))
+	}
+	for i := 0; i < 10; i++ {
+		again := run()
+		if len(again) != len(first) {
+			t.Fatalf("run %d migrated %d pages, first run %d", i, len(again), len(first))
+		}
+		for j := range first {
+			if again[j] != first[j] {
+				t.Fatalf("run %d move %d: page %#x, first run %#x", i, j, again[j], first[j])
+			}
+		}
+	}
+	// The first tick promotes the four hottest pages, then the lowest
+	// equal-heat pages up to the budget of 8.
+	base := first[4] // page 0
+	for i, want := range []uint64{60, 61, 62, 63, 0, 1, 2, 3} {
+		if got := (first[i] - base) / 4096; got != want {
+			t.Fatalf("first tick move %d: page %d, want %d", i, got, want)
+		}
+	}
+}

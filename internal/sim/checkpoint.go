@@ -46,9 +46,6 @@ type Checkpoint struct {
 // position (RNG streams, cursors, pending ops) can continue independently
 // on each forked machine.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
-	if m.eng.laneGuard {
-		return nil, fmt.Errorf("sim: Checkpoint inside an open parallel window")
-	}
 	if err := m.checkpointable(); err != nil {
 		return nil, err
 	}
@@ -103,9 +100,6 @@ func (cp *Checkpoint) Restore() *Machine {
 // checkpoint.  Attachments (tracer, flight recorder, access hook) are
 // detached, exactly as Restore leaves them.
 func (cp *Checkpoint) RestoreInto(m *Machine) error {
-	if m.eng.laneGuard {
-		return fmt.Errorf("sim: RestoreInto inside an open parallel window")
-	}
 	if m.cfg != cp.cfg {
 		return fmt.Errorf("sim: RestoreInto machine built from a different Config (%q vs %q)",
 			m.cfg.Name, cp.cfg.Name)
@@ -255,9 +249,6 @@ func copyMachineState(dst, src *Machine, srcIdx map[any]int32) {
 		dst.banks[i].CopyCountersFrom(b)
 	}
 	dst.lastSync = src.lastSync
-	dst.lanes = src.lanes
-	dst.wstat = src.wstat
-	dst.wstat.LaneBusyNs = nil
 
 	// Attachments are observers of one particular run, not machine state.
 	dst.tr = nil
@@ -271,7 +262,6 @@ func copyEngineState(dst, src *Engine, rm *remapper) {
 	dst.seq = src.seq
 	dst.horizon = src.horizon
 	dst.runAhead = src.runAhead
-	dst.laneGuard = false
 	dst.drainSlot, dst.drainConsumed = -1, 0
 	dst.inlineSteps = src.inlineSteps
 	dst.dispatched = src.dispatched
@@ -358,19 +348,7 @@ func copyCoreState(dst, src *Core) {
 	dst.missL2Busy.CopyStateFrom(src.missL2Busy)
 
 	dst.running = src.running
-	dst.op = src.op
-	dst.opPending = src.opPending
-	dst.stepPending = src.stepPending
-	dst.stepAt = src.stepAt
-	dst.stepSeq = src.stepSeq
-
-	// Lane state is only valid inside an open window; at quiescence it is
-	// scratch and starts clean on the restored machine.
-	dst.lanePos.Store(0)
-	dst.laneDone.Store(false)
-	dst.laneKey = 0
-	dst.laneOps = 0
-	dst.laneObs = dst.laneObs[:0]
+	dst.chain = src.chain
 }
 
 func copyCacheState(dst, src *Cache) {

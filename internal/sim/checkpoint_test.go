@@ -136,29 +136,6 @@ func TestCheckpointRestoreInto(t *testing.T) {
 	diffBanks(t, "restore-into twice", want, bankValues(m))
 }
 
-// TestCheckpointAcrossLaneModes forks one warmed image into every core-step
-// scheduling mode; all of them must match the scratch counters (digests are
-// lane-invariant, so the checkpoint must be too).
-func TestCheckpointAcrossLaneModes(t *testing.T) {
-	scratch := ckptRig(t)
-	scratch.Run(ckptWarm + ckptSuffix)
-	want := bankValues(scratch)
-
-	src := ckptRig(t)
-	src.SetLanes(2) // checkpoint under the parallel windowed scheduler
-	src.Run(ckptWarm)
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lanes := range []int{-1, 1, 2} {
-		m := cp.Restore()
-		m.SetLanes(lanes)
-		m.Run(ckptSuffix)
-		diffBanks(t, "lanes", want, bankValues(m))
-	}
-}
-
 // TestCheckpointRestoreThenAttachTracer proves attach-after-restore: a
 // tracer attached to a restored machine sees the same records as one
 // attached to a fresh machine at the same cycle.
@@ -304,21 +281,18 @@ func TestCheckpointIdleMachine(t *testing.T) {
 }
 
 // FuzzCheckpointRoundTrip checkpoints at a fuzzed cycle mid-run — including
-// inside hit-dominated runs, with a fault plan active, and across lane
-// modes — restores, runs both to completion, and requires identical
-// counters.
+// inside hit-dominated runs, with a fault plan active, and with the
+// run-ahead fast path on or forced off (negative mode) — restores, runs
+// both to completion, and requires identical counters.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(uint32(1_000), int8(-1), false)
 	f.Add(uint32(500_000), int8(1), true)
 	f.Add(uint32(1_999_999), int8(2), false)
 	f.Add(uint32(137), int8(0), true)
-	f.Fuzz(func(t *testing.T, warmRaw uint32, lanes int8, withFaults bool) {
+	f.Fuzz(func(t *testing.T, warmRaw uint32, mode int8, withFaults bool) {
 		warm := Cycles(warmRaw%2_000_000) + 1
 		suffix := Cycles(750_000)
-		laneMode := int(lanes % 3) // -2..2 → clamp below
-		if laneMode < -1 {
-			laneMode = -1
-		}
+		runAhead := mode >= 0
 		build := func() *Machine {
 			as := testSpace(t)
 			local, _ := as.Alloc(2<<20, mem.Fixed(0))
@@ -333,19 +307,19 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			return m
 		}
 		scratch := build()
-		scratch.SetLanes(laneMode)
+		scratch.SetRunAhead(runAhead)
 		scratch.Run(warm + suffix)
 		want := bankValues(scratch)
 
 		src := build()
-		src.SetLanes(laneMode)
+		src.SetRunAhead(runAhead)
 		src.Run(warm)
 		cp, err := src.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
 		fork := cp.Restore()
-		fork.SetLanes(laneMode)
+		fork.SetRunAhead(runAhead)
 		fork.Run(suffix)
 		got := bankValues(fork)
 		if len(want) != len(got) {

@@ -36,7 +36,7 @@ type evKind uint8
 
 const (
 	evFunc      evKind = iota // fn(now)
-	evCoreStep                // target *Core: execute the next workload op
+	evCoreStep                // target *Core: execute the next workload op of step chain arg
 	evOcc                     // target *pmu.OccTracker: Update(now, aux)
 	evOccPulse                // target *pmu.OccTracker: Update(now, +1) + Release(arg)
 	evLFBDemand               // target *Core: lfbOcc + missL1Busy pulses, release at arg
@@ -145,7 +145,6 @@ type Engine struct {
 	// already-dispatched prefix entries from live ones mid-dispatch.
 	horizon       Cycles
 	runAhead      bool
-	laneGuard     bool // set while parallel lanes run; engine access panics
 	drainSlot     int
 	drainConsumed int
 
@@ -392,12 +391,6 @@ func (e *Engine) obsFarPop() obsFarEvent {
 }
 
 func (e *Engine) checkPast(when Cycles) {
-	if e.laneGuard {
-		// Lanes execute only core-private work; anything that reaches the
-		// engine from inside an open parallel window is an op the window
-		// classifier wrongly treated as private.
-		panic("sim: engine touched from a parallel lane (op misclassified as core-private)")
-	}
 	if when < e.now {
 		panic(fmt.Sprintf(
 			"sim: scheduling into the past: when=%d now=%d (%d cycles behind, %d events pending)",
@@ -470,13 +463,13 @@ func (e *Engine) heapPop() event {
 	return ev
 }
 
-// wheelNext returns the earliest wheel-resident event, scanning the
+// wheelNextWhen returns the earliest wheel-resident cycle, scanning the
 // occupancy bitmap forward from now (wrapping once around the horizon).
-// Bucket entries are when-nondecreasing and same-cycle entries append in
-// seq order, so the head of the first occupied bucket is the wheel minimum.
-func (e *Engine) wheelNext() (*event, bool) {
+// Bucket entries are when-nondecreasing, so the head of the first occupied
+// bucket is the wheel minimum.
+func (e *Engine) wheelNextWhen() (Cycles, bool) {
 	if e.wheelLen == 0 {
-		return nil, false
+		return 0, false
 	}
 	start := int(e.now) & wheelMask
 	wi := start >> 6
@@ -484,21 +477,13 @@ func (e *Engine) wheelNext() (*event, bool) {
 	for i := 0; i <= wheelWords; i++ {
 		if w := e.occupied[wi] & mask; w != 0 {
 			slot := wi<<6 + bits.TrailingZeros64(w)
-			return &e.wheel[slot][0], true
+			return e.wheel[slot][0].when, true
 		}
 		mask = ^uint64(0)
 		wi++
 		if wi == wheelWords {
 			wi = 0
 		}
-	}
-	return nil, false
-}
-
-// wheelNextWhen returns the earliest wheel-resident cycle.
-func (e *Engine) wheelNextWhen() (Cycles, bool) {
-	if ev, ok := e.wheelNext(); ok {
-		return ev.when, true
 	}
 	return 0, false
 }
@@ -514,20 +499,6 @@ func (e *Engine) nextWhen() (Cycles, bool) {
 		when, ok = w, true
 	}
 	return when, ok
-}
-
-// peekNext returns the (when, seq) of the earliest scheduled event across
-// wheel and heap without removing it.  The windowed scheduler compares it
-// against pending core steps to reproduce the engine's exact dispatch
-// order, including same-cycle seq interleavings.
-func (e *Engine) peekNext() (when Cycles, seq uint64, ok bool) {
-	if len(e.heap) > 0 {
-		when, seq, ok = e.heap[0].when, e.heap[0].seq, true
-	}
-	if ev, wok := e.wheelNext(); wok && (!ok || ev.when < when || (ev.when == when && ev.seq < seq)) {
-		when, seq, ok = ev.when, ev.seq, true
-	}
-	return when, seq, ok
 }
 
 // runAt executes every event scheduled for exactly cycle `when`, merging
@@ -709,7 +680,9 @@ func (e *Engine) dispatch(ev *event, now Cycles) {
 		e.drainObs(now)
 		ev.fn(now)
 	case evCoreStep:
-		e.mach.coreStep(ev.target.(*Core), now)
+		if c := ev.target.(*Core); ev.arg == c.chain {
+			e.mach.coreStep(c, now)
+		}
 	default:
 		// Observer kinds scheduled as real events (tests, cold paths)
 		// share the deferred-application payload code.

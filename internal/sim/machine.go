@@ -48,18 +48,8 @@ type Machine struct {
 
 	// fl is the attached flight recorder (nil when detached).  Unlike the
 	// sampled tracer it observes every demand load and store completion,
-	// filing packed records from the functional timing path — inline when
-	// the engine owns the clock, deferred through per-core pending buffers
-	// when window lanes are running (see the barrier in window.go).
+	// filing packed records from the functional timing path.
 	fl *obs.Flight
-
-	// Window-parallel scheduling (see window.go).  lanes selects the mode:
-	// <0 forces every core step through the event engine (the golden-test
-	// baseline), 0 is auto (windowed; parallel lanes iff GOMAXPROCS>1),
-	// 1 is the windowed sequential sweep, >1 caps the parallel lane count.
-	lanes int
-	sched *laneSched
-	wstat WindowStats
 
 	// compTable is the reusable component-table scratch for checkpoint
 	// restore (see checkpoint.go); keeping it on the machine makes
@@ -163,13 +153,8 @@ func (m *Machine) Attach(i int, gen workload.Generator) {
 	wasRunning := c.running
 	c.gen = gen
 	c.running = gen != nil
-	c.opPending = false
 	if c.running && !wasRunning {
-		if m.windowed() {
-			m.armStep(c, m.eng.Now())
-		} else {
-			m.eng.at(m.eng.Now(), evCoreStep, c, 0, 0)
-		}
+		m.eng.at(m.eng.Now(), evCoreStep, c, 0, c.chain)
 	}
 }
 
@@ -178,18 +163,11 @@ func (m *Machine) Detach(i int) {
 	c := m.cores[i]
 	c.gen = nil
 	c.running = false
-	c.opPending = false
-	c.stepPending = false
+	c.chain++
 }
 
 // Run advances the simulation by d cycles.
-func (m *Machine) Run(d Cycles) {
-	if m.windowed() {
-		m.runWindowed(m.eng.Now() + d)
-		return
-	}
-	m.eng.RunUntil(m.eng.Now() + d)
-}
+func (m *Machine) Run(d Cycles) { m.eng.RunUntil(m.eng.Now() + d) }
 
 // Sync flushes all occupancy/busy trackers and clocktick counters to the
 // current cycle so that an immediate snapshot of the banks is consistent.
@@ -256,23 +234,19 @@ func (m *Machine) coreStep(c *Core, now Cycles) {
 			now = next
 			continue
 		}
-		eng.at(next, evCoreStep, c, 0, 0)
+		eng.at(next, evCoreStep, c, 0, c.chain)
 		return
 	}
 }
 
 // stepOne executes exactly one workload op on core c at cycle now, returning
-// the core's continuation cycle.  It consumes the classifier's op stash when
-// one is pending (a window bail-out) so no op is ever skipped or repeated.
-// ok is false when the core has stopped (no op was executed); the caller
-// owns rescheduling.
+// the core's continuation cycle.  ok is false when the core has stopped (no
+// op was executed); the caller owns rescheduling.
 func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 	if !c.running || c.gen == nil {
 		return 0, false, false
 	}
-	if c.opPending {
-		c.opPending = false
-	} else if !c.gen.Next(&c.op) {
+	if !c.gen.Next(&c.op) {
 		c.running = false
 		return 0, false, false
 	}
@@ -1176,69 +1150,33 @@ func (m *Machine) DeviceIsolated(dev int) bool {
 // attached workload has run dry and all in-flight events drained.  The
 // profiler watchdog uses it to distinguish a finished workload from a
 // stalled epoch.
-func (m *Machine) Idle() bool {
-	return m.eng.Pending() == 0 && m.pendingSteps() == 0
-}
+func (m *Machine) Idle() bool { return m.eng.Pending() == 0 }
 
 // PendingEvents reports the current scheduled-work depth (engine wheel +
-// heap, plus mirrored core steps in windowed mode) — the
-// pf_engine_events_pending gauge.
-func (m *Machine) PendingEvents() int { return m.eng.Pending() + m.pendingSteps() }
-
-// pendingSteps counts core steps armed in the windowed scheduler's mirror.
-func (m *Machine) pendingSteps() int {
-	n := 0
-	for _, c := range m.cores {
-		if c.stepPending {
-			n++
-		}
-	}
-	return n
-}
+// heap) — the pf_engine_events_pending gauge.
+func (m *Machine) PendingEvents() int { return m.eng.Pending() }
 
 // SetRunAhead enables or disables the core-stepping run-ahead fast path
 // (on by default).  Forcing it off makes every op round-trip through the
 // event engine; the golden digest suite runs both ways to prove the PMU
-// output is byte-identical.  Disabling run-ahead also forces the windowed
-// scheduler off (every op dispatches as an engine event).
-func (m *Machine) SetRunAhead(on bool) {
-	m.eng.runAhead = on
-	if !on && m.lanes >= 0 {
-		m.SetLanes(-1)
-	}
+// output is byte-identical.
+func (m *Machine) SetRunAhead(on bool) { m.eng.runAhead = on }
+
+// Lanes reports how many lanes step the machine's cores: always 1, the
+// event engine.  It is kept because the perfbench harness reads it.
+func (m *Machine) Lanes() int { return 1 }
+
+// WindowStats is the zero-valued report of a windowed core-step scheduler
+// the simulator does not have; the type and its fields are kept because
+// the perfbench harness reads them.
+type WindowStats struct {
+	Windows, BarrierMerges uint64
+	LaneBusyNs             []uint64
 }
 
-// SetLanes selects the core-step scheduling mode.  n < 0 forces every core
-// step through the event engine (the PR-6 behavior and the golden-test
-// baseline).  n == 0, the default, is auto: the windowed scheduler runs
-// core steps off a per-core mirror, using parallel worker lanes when
-// GOMAXPROCS > 1 and the sequential per-core sweep otherwise.  n == 1 pins
-// the windowed sequential sweep; n > 1 caps the parallel lane count at n
-// (and at the core count).  Call between Run slices; switching mid-run is
-// supported but re-sequences pending steps against already-scheduled
-// events.
-func (m *Machine) SetLanes(n int) {
-	if n == m.lanes {
-		return
-	}
-	was, is := m.lanes >= 0, n >= 0
-	m.lanes = n
-	if was == is {
-		return
-	}
-	if is {
-		m.absorbCoreEvents()
-	} else {
-		m.flushStepMirror()
-	}
-}
-
-// Lanes returns the configured lane mode (see SetLanes).
-func (m *Machine) Lanes() int { return m.lanes }
-
-// windowed reports whether core steps run off the mirror (windowed modes)
-// rather than as engine events.
-func (m *Machine) windowed() bool { return m.lanes >= 0 }
+// WindowStats returns the zero value: the event engine opens no windows.
+// It is kept because the perfbench harness reads it.
+func (m *Machine) WindowStats() WindowStats { return WindowStats{} }
 
 // InlineSteps reports how many workload ops the run-ahead fast path has
 // executed inline, without an event-engine round-trip — the
@@ -1281,9 +1219,7 @@ func (m *Machine) Flight() *obs.Flight { return m.fl }
 // flightDone files one completed demand request with the attached flight
 // recorder.  Callers have already checked m.fl.Enabled().  rt carries the
 // stage times for requests that left the core (nil for cache-served
-// completions).  Inside a parallel window the record is deferred to the
-// core's pending buffer — shared promotion state is only touched at the
-// barrier — so lanes never contend and the schedule stays deterministic.
+// completions).
 func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycles, loc ServeLoc, rt *reqTimes) {
 	r := obs.FlightRec{
 		Addr:  addr,
@@ -1300,11 +1236,7 @@ func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycl
 		r.TOREnter = flightDelta(issue, rt.torEnter)
 		r.MemEnter = flightDelta(issue, rt.memEnter)
 	}
-	if m.eng.laneGuard {
-		m.fl.Defer(c.id, r)
-	} else {
-		m.fl.Record(c.id, r)
-	}
+	m.fl.Record(c.id, r)
 }
 
 // flightDelta packs a stage timestamp as a cycle delta from issue; 0 means

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pathfinder/internal/pmu"
+	"pathfinder/internal/workload"
 )
 
 // TestEngineWheelBoundary pins the wheel/heap routing boundary: an event
@@ -176,4 +177,35 @@ func TestObserverDrainOnStep(t *testing.T) {
 	if seen != 1 {
 		t.Fatalf("closure at 60 read %d, want 1 (obs entry at 40 must drain first)", seen)
 	}
+}
+
+// TestRunAheadCallbackComb pins run-ahead against live engine events at
+// exact cycles: a dense comb of callbacks lands on and next to the
+// stepping cadence of a multi-core run, so inline stepping constantly
+// meets an event at its continuation cycle.  Fire times and every PMU
+// counter must match the dispatch-only engine.
+func TestRunAheadCallbackComb(t *testing.T) {
+	run := func(runAhead bool) ([]Cycles, []uint64) {
+		m, local, cxlr := quadRig(t)
+		m.SetRunAhead(runAhead)
+		m.Attach(0, workload.NewStream(local, 2, 0.2, 1))
+		m.Attach(1, workload.NewStream(cxlr, 2, 0.3, 2))
+		m.Attach(2, workload.NewStream(local, 1, 0, 3))
+		m.Attach(3, workload.NewStream(cxlr, 3, 0.1, 4))
+		var fired []Cycles
+		// Primes stress same-cycle ties with core steps; the +1 cadence
+		// lands exactly on step continuations.
+		for c := Cycles(1); c < 50_000; c += 97 {
+			m.eng.Schedule(c, func(now Cycles) { fired = append(fired, now) })
+			m.eng.Schedule(c+1, func(now Cycles) { fired = append(fired, now) })
+		}
+		m.Run(60_000)
+		return fired, bankSums(m)
+	}
+	baseFired, baseSums := run(false)
+	fired, sums := run(true)
+	if fmt.Sprint(fired) != fmt.Sprint(baseFired) {
+		t.Fatal("engine event fire times diverge between run-ahead and dispatch-only runs")
+	}
+	sameSums(t, "run-ahead", sums, baseSums)
 }

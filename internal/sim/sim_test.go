@@ -567,3 +567,24 @@ func TestConfigValidatePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDetachReattachOneChain: re-attaching a core before its detached
+// step chain's pending step fires must not leave two chains stepping the
+// core.  With one chain a core's unhalted cycles exceed elapsed cycles by
+// at most the op in flight at the end.
+func TestDetachReattachOneChain(t *testing.T) {
+	as := testSpace(t)
+	r, _ := as.Alloc(1<<20, mem.Fixed(0))
+	m := New(smallConfig(), as)
+	m.Attach(0, &loopGen{ops: seqLoads(r.Base, 64, 64, true)})
+	m.Run(10_000)
+	for i := 0; i < 8; i++ {
+		m.Detach(0)
+		m.Attach(0, &loopGen{ops: seqLoads(r.Base, 64, 64, true)})
+		m.Run(10_000)
+	}
+	m.Sync()
+	if clk, now := m.Core(0).Bank().Read(pmu.CPUClkUnhalted), m.Now(); clk > now+10_000 {
+		t.Fatalf("core 0 ran %d unhalted cycles in %d elapsed: more than one step chain", clk, now)
+	}
+}
