@@ -40,22 +40,20 @@ bench-json:
 # versus the latest BENCH_*.json.  The iteration count must match
 # bench-json's, or the differently-amortized warmup skews the comparison;
 # the gate takes the fastest of three repetitions to filter scheduler noise.
-# The TracerOff pairs additionally bound the cost of an attached-but-
-# disabled request tracer — compared within the same run, where a tight
-# tolerance is meaningful.  The bound is 8%: the run-ahead fast path cut
-# per-op cost ~1.5x, so the tracer's fixed per-op check (one predicted
-# branch + an inlined atomic load) is now a larger fraction of a smaller
-# number (~4-5% on the CXL stream), and the multi-core pair adds scheduler
-# noise on top.  An accidentally-enabled tracer costs ~10x, far outside
-# the bound either way.
-# The Flight pairs ride the same bench run (benchregress accepts a file, so
-# the output is captured once and gated at three tolerances): the disabled
-# flight recorder is meant to ride along in production, so its off-cost is
-# bounded at 2% — one nil check plus an inlined atomic load per completion.
-# The enabled recorder (FlightOn vs FlightOff, same run) files a packed
-# record through the per-core ring, quantile sketch, and histogram on every
-# completion (~18% on the pure CXL stream, the worst case: every op
-# completes); 25% bounds it without gating on noise.
+# The same-run pair benchmarks run apart from those, as nine alternating
+# `-count 1` rounds; bench_test.go defines each variant right after its
+# base, so within a round the two halves of a pair run back to back
+# instead of minutes apart.  benchregress gates a pair on the median of
+# its per-round variant/base ratios, which keeps host-speed drift and a
+# few noisy rounds out of a tight bound.
+# The Flight pairs: the disabled flight recorder is meant to ride along in
+# production, so its off-cost (FlightOff vs the recorder-free twin) is
+# bounded at 2% — one nil check plus an inlined atomic load per
+# completion.  The enabled recorder (FlightOn vs FlightOff) files a packed
+# 64-byte record with its stage waterfall through the per-core ring, stage
+# aggregates, quantile sketch, and histogram on every completion (the pure
+# CXL stream is the worst case: every op completes); 25% bounds it without
+# gating on noise.
 # The -max ceilings pin the simulator hot loops at 0 allocs/op and bound
 # their residual B/op.  The residual bytes at 0 allocs/op are amortized
 # one-time buffer growth (observer wheel buckets, pending-list slices)
@@ -65,12 +63,14 @@ bench-json:
 # allocation sneaking in, which would add >=16 B/op at these counts.
 bench-regress:
 	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|CaptureSnapshot|EpochLoop' -benchmem -benchtime 200000x -count 3 . \
-		| tee "$$tmp" && \
+	for round in 1 2 3 4 5 6 7 8 9; do \
+		GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimCXLStream|SimMultiCoreStream' -benchmem -benchtime 200000x -count 1 . \
+			| tee -a "$$tmp"; \
+	done; \
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|CaptureSnapshot|EpochLoop' -benchmem -benchtime 200000x -count 3 . \
+		| tee -a "$$tmp"; \
 	$(GO) run ./cmd/benchregress \
 		-watch 'BenchmarkSimCXLStream,BenchmarkSimMultiCoreStream,BenchmarkCaptureSnapshot,BenchmarkEpochLoop' \
-		-pair-tolerance 0.08 \
-		-pairs 'BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream,BenchmarkSimMultiCoreStreamTracerOff=BenchmarkSimMultiCoreStream,BenchmarkEpochLoopTracerOff=BenchmarkEpochLoop' \
 		-max 'BenchmarkSimLocalStream:allocs/op:0,BenchmarkSimCXLStream:allocs/op:0,BenchmarkSimMultiCoreStream:allocs/op:0,BenchmarkSimLocalStream:B/op:64,BenchmarkSimCXLStream:B/op:64,BenchmarkSimMultiCoreStream:B/op:256' \
 		"$$tmp" && \
 	$(GO) run ./cmd/benchregress \

@@ -193,12 +193,81 @@ func BenchmarkSimCXLStream(b *testing.B) {
 	}
 }
 
+// BenchmarkSimCXLStreamFlightOff is BenchmarkSimCXLStream with a flight
+// recorder attached but disabled: the completion hook costs one nil check
+// plus an inlined atomic load.  `make bench-regress` gates this against its
+// recorder-free twin from the same run at ≤2% (median of per-round
+// ratios) — the flight recorder is meant to ride along in production.  The
+// flight pair benchmarks sit right after their base in this file, because
+// go test runs benchmarks in source order: each round then measures the
+// two halves of a pair back to back.
+func BenchmarkSimCXLStreamFlightOff(b *testing.B) {
+	m, r := benchRig(b, 1)
+	m.SetFlight(obs.NewFlight(m.Cores(), 4096, 512)) // attached, never enabled
+	g := workload.NewStream(r, 2, 0.2, 1)
+	g.Reuse = 4
+	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
+	b.ResetTimer()
+	for m.Core(0).Running() {
+		m.Run(1_000_000)
+	}
+}
+
+// BenchmarkSimCXLStreamFlightOn is BenchmarkSimCXLStream with the recorder
+// enabled: every completion files a packed record with its stage waterfall
+// through the per-core ring, the stage aggregates, the quantile sketch, and
+// the histogram.  Gated against the FlightOff twin in the same run at 25%:
+// this stream is the worst case, since every op completes a record, and
+// the bound catches an accidental allocation or lock-contention regression
+// without gating on scheduler noise.
+func BenchmarkSimCXLStreamFlightOn(b *testing.B) {
+	m, r := benchRig(b, 1)
+	fl := obs.NewFlight(m.Cores(), 4096, 512)
+	fl.Enable()
+	m.SetFlight(fl)
+	g := workload.NewStream(r, 2, 0.2, 1)
+	g.Reuse = 4
+	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
+	b.ResetTimer()
+	for m.Core(0).Running() {
+		m.Run(1_000_000)
+	}
+}
+
 // BenchmarkSimMultiCoreStream measures throughput with all four cores
 // streaming (two local, two CXL).  Per-op cost is higher than the
 // single-core streams because concurrent cores schedule events into each
 // other's run-ahead windows; this is the fast path's contended case.
 func BenchmarkSimMultiCoreStream(b *testing.B) {
 	m, r := benchRig(b, 0)
+	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cxlReg := workload.Region{Base: rc.Base, Size: rc.Size}
+	g := workload.NewStream(r, 2, 0.2, 1)
+	g.Reuse = 4
+	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
+	for c := 1; c < 4; c++ {
+		reg := r
+		if c >= 2 {
+			reg = cxlReg
+		}
+		gc := workload.NewStream(reg, 2, 0.2, uint64(c+10))
+		gc.Reuse = 4
+		m.Attach(c, gc)
+	}
+	b.ResetTimer()
+	for m.Core(0).Running() {
+		m.Run(1_000_000)
+	}
+}
+
+// BenchmarkSimMultiCoreStreamFlightOff is BenchmarkSimMultiCoreStream with
+// a disabled flight recorder attached, gated as a same-run pair at ≤2%.
+func BenchmarkSimMultiCoreStreamFlightOff(b *testing.B) {
+	m, r := benchRig(b, 0)
+	m.SetFlight(obs.NewFlight(m.Cores(), 4096, 512)) // attached, never enabled
 	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
 	if err != nil {
 		b.Fatal(err)
@@ -336,149 +405,6 @@ func BenchmarkEpochLoop(b *testing.B) {
 		plan.AnalyzeQueuesInto(s, k, &qr)
 		buf = core.AppendDigest(buf[:0], s)
 		s.Release()
-	}
-}
-
-// --- Tracer-off overhead (observability must be free when off) -----------------
-
-// BenchmarkSimCXLStreamTracerOff is BenchmarkSimCXLStream with a request
-// tracer attached but disabled: the only extra work on the request path is
-// one atomic load.  `make bench-regress` gates this against its untraced
-// twin from the same run (<=2% growth) — a same-run pair, so machine drift
-// between baseline snapshots cannot mask or fake a regression.
-func BenchmarkSimCXLStreamTracerOff(b *testing.B) {
-	m, r := benchRig(b, 1)
-	m.SetTracer(obs.NewTracer(4096, 64)) // attached, never enabled
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkSimMultiCoreStreamTracerOff is BenchmarkSimMultiCoreStream with
-// a disabled tracer attached, gated as a same-run pair like the others.
-func BenchmarkSimMultiCoreStreamTracerOff(b *testing.B) {
-	m, r := benchRig(b, 0)
-	m.SetTracer(obs.NewTracer(4096, 64)) // attached, never enabled
-	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cxlReg := workload.Region{Base: rc.Base, Size: rc.Size}
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	for c := 1; c < 4; c++ {
-		reg := r
-		if c >= 2 {
-			reg = cxlReg
-		}
-		gc := workload.NewStream(reg, 2, 0.2, uint64(c+10))
-		gc.Reuse = 4
-		m.Attach(c, gc)
-	}
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkEpochLoopTracerOff is BenchmarkEpochLoop with a disabled tracer
-// attached, gated the same way.
-func BenchmarkEpochLoopTracerOff(b *testing.B) {
-	m, r := benchRig(b, 1)
-	m.SetTracer(obs.NewTracer(4096, 64))
-	k := core.ConstsFor(m.Config())
-	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
-	cap := core.NewCapturer(m)
-	m.Run(2_000_000)
-	plan := core.NewPlan(cap.Index(), []int{0}, 0)
-	var pm core.PathMap
-	var bd core.StallBreakdown
-	var qr core.QueueReport
-	buf := make(core.Digest, 0, 4096)
-	cap.Capture().Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := cap.Capture()
-		plan.BuildPathMapInto(s, &pm)
-		plan.EstimateStallsInto(s, k, &bd)
-		plan.AnalyzeQueuesInto(s, k, &qr)
-		buf = core.AppendDigest(buf[:0], s)
-		s.Release()
-	}
-}
-
-// --- Flight-recorder overhead (always-on must be near-free) --------------------
-
-// BenchmarkSimCXLStreamFlightOff is BenchmarkSimCXLStream with a flight
-// recorder attached but disabled: the completion hook costs one nil check
-// plus an inlined atomic load.  `make bench-regress` gates this against its
-// recorder-free twin from the same run at ≤2% — the flight recorder is
-// meant to ride along in production, so its off-cost bound is tighter than
-// the tracer's.
-func BenchmarkSimCXLStreamFlightOff(b *testing.B) {
-	m, r := benchRig(b, 1)
-	m.SetFlight(obs.NewFlight(m.Cores(), 4096, 512)) // attached, never enabled
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkSimMultiCoreStreamFlightOff is BenchmarkSimMultiCoreStream with
-// a disabled flight recorder attached, gated as a same-run pair at ≤2%.
-func BenchmarkSimMultiCoreStreamFlightOff(b *testing.B) {
-	m, r := benchRig(b, 0)
-	m.SetFlight(obs.NewFlight(m.Cores(), 4096, 512)) // attached, never enabled
-	rc, err := m.AddressSpace().Alloc(64<<20, mem.Fixed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cxlReg := workload.Region{Base: rc.Base, Size: rc.Size}
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	for c := 1; c < 4; c++ {
-		reg := r
-		if c >= 2 {
-			reg = cxlReg
-		}
-		gc := workload.NewStream(reg, 2, 0.2, uint64(c+10))
-		gc.Reuse = 4
-		m.Attach(c, gc)
-	}
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
-	}
-}
-
-// BenchmarkSimCXLStreamFlightOn is BenchmarkSimCXLStream with the recorder
-// enabled: every completion files a packed record through the per-core
-// ring, the quantile sketch, and the histogram.  Gated against the
-// FlightOff twin in the same run at 25% — the measured cost is ~18% on
-// this stream (the worst case: every op completes a record), and the
-// bound catches an accidental allocation or lock-contention regression
-// without gating on scheduler noise.
-func BenchmarkSimCXLStreamFlightOn(b *testing.B) {
-	m, r := benchRig(b, 1)
-	fl := obs.NewFlight(m.Cores(), 4096, 512)
-	fl.Enable()
-	m.SetFlight(fl)
-	g := workload.NewStream(r, 2, 0.2, 1)
-	g.Reuse = 4
-	m.Attach(0, workload.NewLimit(g, uint64(b.N)))
-	b.ResetTimer()
-	for m.Core(0).Running() {
-		m.Run(1_000_000)
 	}
 }
 

@@ -3,8 +3,9 @@
 // compares the watched benchmarks against the committed BENCH_*.json
 // baseline, and exits nonzero when any ns/op grew beyond the tolerance
 // (see `make bench-regress`).  -pairs additionally gates Variant=Base
-// pairs within the same run (e.g. the tracer-off overhead bound), which
-// supports much tighter tolerances than a committed baseline.
+// pairs within the same run (e.g. the flight-recorder-off overhead bound)
+// on the median of their per-round ratios, which supports much tighter
+// tolerances than a committed baseline.
 //
 //	go test -run '^$' -bench 'SimCXLStream|CaptureSnapshot' -benchmem . | benchregress
 package main
@@ -25,9 +26,9 @@ func main() {
 		"comma-separated benchmark names to gate")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed ns/op growth fraction")
 	pairs := flag.String("pairs", "",
-		"comma-separated Variant=Base same-run pairs to gate (e.g. BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream)")
+		"comma-separated Variant=Base same-run pairs to gate (e.g. BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream)")
 	pairTolerance := flag.Float64("pair-tolerance", 0.02,
-		"allowed ns/op growth of a pair's variant over its base, same run")
+		"allowed growth of a pair's median per-round variant/base ns/op ratio, same run")
 	maxes := flag.String("max", "",
 		"comma-separated absolute metric ceilings (Name:metric:limit, e.g. BenchmarkSimCXLStream:B/op:64)")
 	flag.Parse()

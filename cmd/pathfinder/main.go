@@ -153,8 +153,6 @@ func main() {
 	listApps := flag.Bool("list-apps", false, "print the application catalog and exit")
 	listEvents := flag.Bool("list-events", false, "print the PMU event catalog and exit")
 	serve := flag.String("serve", "", "serve /metrics, /status, /trace, /debug/pprof on this address (e.g. :6060); keeps serving after the run")
-	traceSample := flag.Int("trace-sample", 0, "trace one request in N through the request path (0 = tracing off)")
-	traceBuf := flag.Int("trace-buf", 4096, "request-path trace ring capacity in records")
 	flightRing := flag.Int("flight", 4096, "flight-recorder per-core ring capacity in records (0 = recorder off)")
 	flightTail := flag.Int("flight-tail", 512, "flight-recorder tail-store capacity in promoted records")
 	flightDump := flag.String("flight-dump", "pathfinder-flight-bundle.json", "postmortem bundle path written on SIGQUIT or a profiler watchdog trip")
@@ -212,13 +210,6 @@ func main() {
 		{ID: 2, Kind: mem.CXLDRAM, Device: 0, Capacity: 256 << 30},
 	})
 	m := sim.New(cfg, as)
-
-	var tr *obs.Tracer
-	if *traceSample > 0 {
-		tr = obs.NewTracer(*traceBuf, *traceSample)
-		tr.Enable()
-		m.SetTracer(tr)
-	}
 
 	// The flight recorder is on by default: always-on tail capture is the
 	// point, and the off-path cost with it attached is a couple of loads.
@@ -358,7 +349,7 @@ func main() {
 
 	var srv *obs.Server
 	if *serve != "" {
-		srv = obs.NewServer(obs.Default, tr, statusFn, cfg.GHz)
+		srv = obs.NewServer(obs.Default, statusFn, cfg.GHz)
 		srv.SetFlight(fl, faultPlanStr)
 		addr, err := srv.Start(*serve)
 		if err != nil {

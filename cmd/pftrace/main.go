@@ -1,9 +1,10 @@
 // Command pftrace records, inspects, and replays memory-access traces:
 // the trace-driven methodology for feeding one captured op stream to many
-// simulated configurations.  The spans subcommand traces the request path
-// itself — per-request stage waterfalls through SB/LFB, L2, CHA, and the
-// IMC or M2PCIe/CXL backends — and cross-checks observed residency against
-// the PFAnalyzer queue estimates.
+// simulated configurations.  The spans subcommand reads the request path
+// itself from the flight recorder — per-request stage waterfalls through
+// SB/LFB, L2, CHA, and the IMC or M2PCIe/CXL backends — and cross-checks
+// the observed residency against the PFAnalyzer queue estimates; bundle
+// renders a postmortem bundle's promoted tail the same way.
 //
 //	pftrace record -app FOTS -ops 200000 -o fots.trc
 //	pftrace info   -i fots.trc
@@ -193,18 +194,17 @@ func replay(args []string) {
 	fmt.Print(t)
 }
 
-// spans traces the request path of a dependent pointer chase (or a catalog
-// application) at full sampling, prints the per-stage residency waterfall,
-// cross-checks it against AnalyzeQueues' Little's-law estimates, and
-// optionally exports Chrome trace_event JSON for Perfetto.
+// spans runs a dependent pointer chase (or a catalog application) with the
+// flight recorder attached, prints the per-stage residency waterfall from
+// the recorder's stage aggregates, cross-checks it against AnalyzeQueues'
+// Little's-law estimates, and optionally exports the recorded requests as
+// Chrome trace_event JSON for Perfetto.
 func spans(args []string) {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)
 	appName := fs.String("app", "", "catalog application (default: dependent pointer chase)")
 	node := fs.String("node", "cxl", "placement: local, remote, or cxl")
 	machine := fs.String("machine", "spr", "machine model: spr or emr")
 	kcycles := fs.Uint64("kcycles", 2000, "cycles to simulate, in kilocycles")
-	sample := fs.Int("sample", 1, "trace one request in N")
-	bufCap := fs.Int("buf", 1<<14, "trace ring capacity in records")
 	wsMB := fs.Uint64("ws-mb", 16, "working-set size in MiB")
 	out := fs.String("o", "", "write Chrome trace_event JSON here (open in Perfetto)")
 	_ = fs.Parse(args)
@@ -216,9 +216,9 @@ func spans(args []string) {
 	cfg.LLCSize /= 4
 	cfg.LLCSlices /= 4
 	if *appName == "" {
-		// Demand-only pointer chase: prefetch traffic is untraced, so it
-		// would widen the PMU integrals relative to the demand spans and
-		// blur the cross-check.
+		// Demand-only pointer chase: the recorder files demand requests,
+		// so prefetch traffic would widen the PMU integrals relative to
+		// the recorded stages and blur the cross-check.
 		cfg.L1PFDegree, cfg.L2PFDegree = 0, 0
 	}
 	as := mem.NewAddressSpace(12, []mem.Node{
@@ -243,9 +243,9 @@ func spans(args []string) {
 	}
 
 	m := sim.New(cfg, as)
-	tr := obs.NewTracer(*bufCap, *sample)
-	tr.Enable()
-	m.SetTracer(tr)
+	fl := obs.NewFlight(m.Cores(), 4096, 512)
+	fl.Enable()
+	m.SetFlight(fl)
 
 	wr := workload.Region{Base: reg.Base, Size: reg.Size}
 	var gen workload.Generator
@@ -268,12 +268,17 @@ func spans(args []string) {
 	snap := c.Capture()
 	clocks := snap.Cycles()
 
-	stats, committed, dropped := tr.Stats()
-	if committed == 0 {
-		fatalf("no requests traced (is the workload running?)")
+	var stats [obs.StageCount]obs.StageStat
+	for _, cls := range []int{obs.FlightLoad, obs.FlightStore} {
+		for st, s := range fl.StageStats(cls) {
+			stats[st].Spans += s.Spans
+			stats[st].Cycles += s.Cycles
+		}
 	}
-	fmt.Printf("%s on %s (%s): traced %d requests (1 in %d), %d dropped from ring\n\n",
-		label, *node, cfg.Name, committed, tr.Every(), dropped)
+	if fl.RecordsTotal() == 0 {
+		fatalf("no requests recorded (is the workload running?)")
+	}
+	fmt.Printf("%s on %s (%s): recorded %d requests\n\n", label, *node, cfg.Name, fl.RecordsTotal())
 
 	t := &report.Table{Title: "request-path waterfall (per-stage residency)",
 		Cols: []string{"stage", "spans", "cycles", "avg cyc/span", "residency (occupancy)"}}
@@ -291,7 +296,7 @@ func spans(args []string) {
 
 	// Cross-check against PFAnalyzer on the CXL path: the queue estimates
 	// price the same intervals through PMU occupancy integrals, so the two
-	// views must agree if the tracer's stage boundaries are honest.
+	// views must agree if the recorded stage boundaries are honest.
 	if *node == "cxl" {
 		k := core.ConstsFor(cfg)
 		plan := core.NewPlan(c.Index(), []int{0}, 0)
@@ -318,28 +323,15 @@ func spans(args []string) {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		recs := tr.Records()
-		werr := obs.WriteChromeTrace(f, recs, cfg.GHz)
-		cerr := f.Close()
-		if werr != nil {
-			fatalf("writing %s: %v", *out, werr)
-		}
-		if cerr != nil {
-			fatalf("closing %s: %v", *out, cerr)
-		}
+		recs := fl.Records()
+		writeTrace(*out, recs, cfg.GHz)
 		fmt.Printf("wrote %d records to %s — open at https://ui.perfetto.dev\n", len(recs), *out)
 	}
 }
 
 // bundle renders a flight-recorder postmortem bundle's promoted tail
-// records as Perfetto spans: one track per (core, request) with the
-// issue->done envelope and the L2/CHA/device segments the packed record's
-// stage deltas allow.  The device segment is labeled with the serving
-// backend (IMC for DRAM, FlexBus for CXL).
+// records as Perfetto spans: one track per (core, request) with each
+// record's full stage waterfall.
 func bundle(args []string) {
 	fs := flag.NewFlagSet("bundle", flag.ExitOnError)
 	in := fs.String("i", "pathfinder-flight-bundle.json", "postmortem bundle file")
@@ -355,54 +347,30 @@ func bundle(args []string) {
 	if len(tail) == 0 {
 		fatalf("%s: bundle (trigger %q) has no promoted tail records", *in, b.Trigger)
 	}
-
-	recs := make([]obs.ReqRec, 0, len(tail))
+	recs := make([]obs.FlightRec, len(tail))
 	for i := range tail {
-		t := &tail[i]
-		loc := sim.ServeLoc(t.Loc)
-		r := obs.ReqRec{
-			ID:    uint64(t.Seq),
-			Core:  int32(t.Core),
-			Addr:  t.Addr,
-			Class: obs.FlightClassName(t.Class),
-			Loc:   loc.String(),
-		}
-		r.Span(obs.StageReq, t.Issue, t.Done)
-		// Stage deltas are cycle offsets from issue; zero means the request
-		// never reached that stage, so only the segments that exist render.
-		l2 := t.Issue + uint64(t.L2Start)
-		tor := t.Issue + uint64(t.TOREnter)
-		memEnter := t.Issue + uint64(t.MemEnter)
-		if t.L2Start > 0 && t.TOREnter > t.L2Start {
-			r.Span(obs.StageL2, l2, tor)
-		}
-		if t.TOREnter > 0 && t.MemEnter > t.TOREnter {
-			r.Span(obs.StageCHA, tor, memEnter)
-		}
-		if t.MemEnter > 0 && t.Done > memEnter {
-			st := obs.StageIMC
-			if loc == sim.SrvCXL {
-				st = obs.StageCXLLink
-			}
-			r.Span(st, memEnter, t.Done)
-		}
-		recs = append(recs, r)
+		recs[i] = tail[i].FlightRec
 	}
+	writeTrace(*out, recs, *ghz)
+	fmt.Printf("bundle %s (trigger %q, epoch %d): wrote %d promoted spans to %s — open at https://ui.perfetto.dev\n",
+		*in, b.Trigger, b.Epoch, len(recs), *out)
+}
 
-	f, err := os.Create(*out)
+// writeTrace exports records as Chrome trace_event JSON to path, cycles
+// converted to time at ghz.
+func writeTrace(path string, recs []obs.FlightRec, ghz float64) {
+	f, err := os.Create(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	werr := obs.WriteChromeTrace(f, recs, *ghz)
+	werr := obs.WriteChromeTrace(f, recs, ghz, func(l uint8) string { return sim.ServeLoc(l).String() })
 	cerr := f.Close()
 	if werr != nil {
-		fatalf("writing %s: %v", *out, werr)
+		fatalf("writing %s: %v", path, werr)
 	}
 	if cerr != nil {
-		fatalf("closing %s: %v", *out, cerr)
+		fatalf("closing %s: %v", path, cerr)
 	}
-	fmt.Printf("bundle %s (trigger %q, epoch %d): wrote %d promoted spans to %s — open at https://ui.perfetto.dev\n",
-		*in, b.Trigger, b.Epoch, len(recs), *out)
 }
 
 func maxf(a, b float64) float64 {

@@ -257,9 +257,16 @@ func CompareMax(cur *Doc, specs []string) ([]Regression, error) {
 // ComparePairs gates variant benchmarks against their base WITHIN one run:
 // each pair is "Variant=Base", and the variant's ns/op may exceed the
 // base's by at most tolerance.  Because both sides come from the same
-// `go test -bench` invocation on the same machine, the gate is immune to
-// the environment drift that plagues committed-baseline comparisons —
-// which is what makes a tolerance as tight as 2% enforceable.
+// `go test -bench` output on the same machine, the gate is immune to the
+// environment drift that plagues committed-baseline comparisons.
+//
+// The output may hold several rounds (the k-th result of a name belongs to
+// round k): the gate takes the variant/base ratio per round and compares
+// the median ratio.  Host speed drifts over seconds, so pairing each
+// variant run with the base run of its own round — rather than the best of
+// each side, possibly minutes apart — keeps drift out of the ratio, and the
+// median ignores a round a noisy neighbour hit.  That is what makes a
+// tolerance as tight as 2% enforceable.
 func ComparePairs(cur *Doc, pairs []string, tolerance float64) ([]Regression, error) {
 	var out []Regression
 	for _, p := range pairs {
@@ -269,24 +276,52 @@ func ComparePairs(cur *Doc, pairs []string, tolerance float64) ([]Regression, er
 		}
 		variant, base = strings.TrimSpace(variant), strings.TrimSpace(base)
 		name := variant + " (vs " + base + ")"
-		v, b := cur.Best(variant), cur.Best(base)
+		vs, bs := cur.rounds(variant), cur.rounds(base)
 		switch {
-		case b == nil:
+		case len(bs) == 0:
 			out = append(out, Regression{Name: name, MissingBaseline: true})
 			continue
-		case v == nil:
+		case len(vs) == 0:
 			out = append(out, Regression{Name: name, MissingCurrent: true})
 			continue
 		}
-		baseNS, varNS := b.Metrics["ns/op"], v.Metrics["ns/op"]
-		if baseNS <= 0 || varNS <= 0 {
+		n := min(len(vs), len(bs))
+		ratios := make([]float64, 0, n)
+		for k := 0; k < n; k++ {
+			if bs[k] > 0 && vs[k] > 0 {
+				ratios = append(ratios, vs[k]/bs[k])
+			}
+		}
+		if len(ratios) == 0 {
 			continue
 		}
-		if growth := (varNS - baseNS) / baseNS; growth > tolerance {
-			out = append(out, Regression{Name: name, BaseNS: baseNS, CurNS: varNS, Growth: growth})
+		if growth := median(ratios) - 1; growth > tolerance {
+			out = append(out, Regression{Name: name, BaseNS: median(bs[:n]), CurNS: median(vs[:n]), Growth: growth})
 		}
 	}
 	return out, nil
+}
+
+// rounds returns the named benchmark's ns/op results in output order.
+func (d *Doc) rounds(name string) []float64 {
+	var ns []float64
+	for i := range d.Benchmarks {
+		if d.Benchmarks[i].Name == name {
+			ns = append(ns, d.Benchmarks[i].Metrics["ns/op"])
+		}
+	}
+	return ns
+}
+
+// median returns the median of xs (the mean of the middle two for an even
+// count), leaving xs unmodified.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // Compare gates the watched benchmarks: any whose current ns/op exceeds the

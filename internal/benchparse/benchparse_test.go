@@ -1,6 +1,7 @@
 package benchparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -146,10 +147,10 @@ func TestCompare(t *testing.T) {
 func TestComparePairs(t *testing.T) {
 	cur := parseSample(t)
 	v := *cur.Find("BenchmarkSimCXLStream")
-	v.Name = "BenchmarkSimCXLStreamTracerOff"
+	v.Name = "BenchmarkSimCXLStreamFlightOff"
 	v.Metrics = map[string]float64{"ns/op": 992.9 * 1.01}
 	cur.Benchmarks = append(cur.Benchmarks, v)
-	pair := []string{"BenchmarkSimCXLStreamTracerOff=BenchmarkSimCXLStream"}
+	pair := []string{"BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream"}
 
 	// +1% passes a 2% pair gate.
 	regs, err := ComparePairs(cur, pair, 0.02)
@@ -158,7 +159,7 @@ func TestComparePairs(t *testing.T) {
 	}
 
 	// +5% fails it, reporting both sides.
-	cur.Find("BenchmarkSimCXLStreamTracerOff").Metrics["ns/op"] = 992.9 * 1.05
+	cur.Find("BenchmarkSimCXLStreamFlightOff").Metrics["ns/op"] = 992.9 * 1.05
 	regs, err = ComparePairs(cur, pair, 0.02)
 	if err != nil || len(regs) != 1 {
 		t.Fatalf("pair regression missed: %v %v", regs, err)
@@ -172,7 +173,7 @@ func TestComparePairs(t *testing.T) {
 	if err != nil || len(regs) != 1 || !regs[0].MissingCurrent {
 		t.Fatalf("missing variant: %v %v", regs, err)
 	}
-	regs, err = ComparePairs(cur, []string{"BenchmarkSimCXLStreamTracerOff=BenchmarkNope"}, 0.02)
+	regs, err = ComparePairs(cur, []string{"BenchmarkSimCXLStreamFlightOff=BenchmarkNope"}, 0.02)
 	if err != nil || len(regs) != 1 || !regs[0].MissingBaseline {
 		t.Fatalf("missing base: %v %v", regs, err)
 	}
@@ -180,6 +181,39 @@ func TestComparePairs(t *testing.T) {
 	// A malformed pair is a usage error, not a silent skip.
 	if _, err := ComparePairs(cur, []string{"NoEqualsSign"}, 0.02); err == nil {
 		t.Fatal("malformed pair accepted")
+	}
+}
+
+// TestComparePairsRoundMedian: over alternating -count 1 rounds the gate
+// takes the median of per-round variant/base ratios, so one round hit by a
+// noisy neighbour passes while a consistent +3% regression fails a 2% bound
+// — even when host speed drifts 40% across the rounds.
+func TestComparePairsRoundMedian(t *testing.T) {
+	rounds := func(ratios []float64) *Doc {
+		var out strings.Builder
+		for k, r := range ratios {
+			base := 1000 * (1 + 0.1*float64(k)) // the host slows down round by round
+			fmt.Fprintf(&out, "BenchmarkSimCXLStream   200000   %.1f ns/op\n", base)
+			fmt.Fprintf(&out, "BenchmarkSimCXLStreamFlightOff   200000   %.1f ns/op\n", base*r)
+		}
+		doc, err := Parse(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	pair := []string{"BenchmarkSimCXLStreamFlightOff=BenchmarkSimCXLStream"}
+
+	regs, err := ComparePairs(rounds([]float64{1.00, 1.01, 0.99, 1.30, 1.005}), pair, 0.02)
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("one outlier round failed the gate: %v %v", regs, err)
+	}
+	regs, err = ComparePairs(rounds([]float64{1.03, 1.03, 1.03, 1.03, 1.03}), pair, 0.02)
+	if err != nil || len(regs) != 1 {
+		t.Fatalf("consistent +3%% passed the 2%% gate: %v %v", regs, err)
+	}
+	if g := regs[0].Growth; g < 0.029 || g > 0.031 {
+		t.Fatalf("median growth = %v, want 0.03", g)
 	}
 }
 

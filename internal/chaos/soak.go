@@ -128,7 +128,6 @@ func Soak(opt Options) (*Report, error) {
 
 	taskRep := experiments.Supervise(experiments.SuperviseOptions{
 		Label:       "chaos-soak",
-		Seed:        opt.BaseSeed,
 		CycleBudget: opt.CycleBudget,
 	}, opt.Cases, func(i int, tc *experiments.TaskCtx) error {
 		c, err := GenCase(opt.BaseSeed+uint64(i), opt.Cycles)

@@ -23,7 +23,7 @@ import (
 // change that moves the engine's output in both modes at once still fails.
 
 // fastpathScenario configures a freshly built rig (workloads, fault
-// plans, tracer).  It runs twice per test, once per engine mode, so both
+// plans, flight recorder).  It runs twice per test, once per engine mode, so both
 // machines see identical construction order and workload seeds.  The
 // returned cleanup (may be nil) runs after each machine finishes.
 type fastpathScenario func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func()
@@ -118,8 +118,8 @@ func diffDigests(t *testing.T, a, b Digest) {
 
 // goldenScenarios is the shared scenario table of the run-ahead (this file)
 // and checkpoint restore-equivalence suites.  pin is the scenario's digest
-// hash (see pinHash).  The tracer and flight scenarios are standalone tests
-// because they capture attachment statistics.
+// hash (see pinHash).  The flight scenarios are standalone tests because
+// they capture attachment statistics.
 var goldenScenarios = []struct {
 	name   string
 	pin    string
@@ -172,9 +172,8 @@ var goldenScenarios = []struct {
 		}},
 }
 
-// attachedPin is the digest hash of the tracer- and flight-attached
-// scenarios: both run the same workloads, and neither attachment perturbs
-// timing.
+// attachedPin is the digest hash of the flight-attached scenarios: they run
+// the same workloads, and the attachment does not perturb timing.
 const attachedPin = "87d1a3b63236acbb55fa2e0d10093f7d"
 
 // goldenScenario returns the named entry of goldenScenarios.
@@ -206,38 +205,9 @@ func TestFastpathGoldenFaultPlan(t *testing.T) { fastpathGoldenNamed(t, "FaultPl
 
 func TestFastpathGoldenSurpriseRemoval(t *testing.T) { fastpathGoldenNamed(t, "SurpriseRemoval") }
 
-func TestFastpathGoldenTracerAttached(t *testing.T) {
-	var stats [2]struct {
-		committed, dropped uint64
-	}
-	i := 0
-	fastpathGolden(t, attachedPin, 2, 1_000_000,
-		func(t *testing.T, m *sim.Machine, local, cxlReg workload.Region) func() {
-			// Sampling every 4th op mixes traced (dispatch-forced) and
-			// untraced (inline-eligible) ops in the same run.
-			tr := obs.NewTracer(1<<14, 4)
-			tr.Enable()
-			m.SetTracer(tr)
-			m.Attach(0, workload.NewStream(cxlReg, 2, 0.2, 5))
-			m.Attach(1, workload.NewStream(local, 2, 0.2, 6))
-			slot := &stats[i]
-			i++
-			return func() {
-				_, slot.committed, slot.dropped = tr.Stats()
-			}
-		})
-	// The tracer must observe the same request population in both modes.
-	if stats[0] != stats[1] {
-		t.Fatalf("tracer stats differ: fast=%+v dispatch=%+v", stats[0], stats[1])
-	}
-	if stats[0].committed == 0 {
-		t.Fatal("tracer committed no records")
-	}
-}
-
 // TestFastpathGoldenFlightAttached: the always-on flight recorder files a
-// record for every completed request, so unlike the sampling tracer it is
-// active on the inline fast path itself.  Digests must stay byte-identical
+// record for every completed request, so it is active on the inline fast
+// path itself.  Digests must stay byte-identical
 // with it enabled, and the recorder must see the identical request
 // population in both engine modes.
 func TestFastpathGoldenFlightAttached(t *testing.T) {

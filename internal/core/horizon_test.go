@@ -67,7 +67,7 @@ func TestWindowGoldenScenarios(t *testing.T) {
 	}
 }
 
-// windowAttached runs the tracer/flight scenario once per Run-window span
+// windowAttached runs the flight scenario once per Run-window span
 // (0 meaning one Run per epoch), attaching whatever attach installs, and
 // requires every span to reproduce attachedPin and the same attachment
 // statistics as the whole-epoch run.
@@ -98,26 +98,6 @@ func windowAttached[S comparable](t *testing.T, attach func(m *sim.Machine) func
 		}
 	}
 	return base
-}
-
-// TestWindowGoldenTracerEnabled: a sampling tracer forces its sampled ops
-// through the engine, so window ends land between traced and inline ops.
-// The tracer must see the identical request population however the run is
-// cut.
-func TestWindowGoldenTracerEnabled(t *testing.T) {
-	type stats struct{ committed, dropped uint64 }
-	st := windowAttached(t, func(m *sim.Machine) func() stats {
-		tr := obs.NewTracer(1<<14, 4)
-		tr.Enable()
-		m.SetTracer(tr)
-		return func() (s stats) {
-			_, s.committed, s.dropped = tr.Stats()
-			return s
-		}
-	})
-	if st.committed == 0 {
-		t.Fatal("tracer committed no records")
-	}
 }
 
 // TestWindowGoldenFlightEnabled: the flight recorder files every completion,

@@ -7,14 +7,16 @@ import (
 	"sync/atomic"
 )
 
-// Flight is the always-on flight recorder: every completed memory request
-// leaves a compact fixed-size record in a per-core ring buffer, and the
-// requests whose end-to-end latency lands beyond an adaptive per-class
-// threshold (an online p99 estimate from a streaming P² quantile sketch)
-// are promoted into a bounded tail store together with their promotion
-// context.  Unlike the 1-in-N tracer, which samples uniformly and almost
-// never catches a p99.9 event with its waterfall, the flight recorder sees
-// every request and keeps exactly the ones that form the tail.
+// Flight is the always-on flight recorder and the simulator's one
+// per-request capture path: every completed memory request leaves a
+// compact fixed-size record of its stage boundaries in a per-core ring
+// buffer, and the requests whose end-to-end latency lands beyond an
+// adaptive per-class threshold (an online p99 estimate from a streaming P²
+// quantile sketch) are promoted into a bounded tail store together with
+// their promotion context.  A uniform sample almost never catches a p99.9
+// event with its waterfall; the recorder sees every request, keeps exactly
+// the ones that form the tail, and folds every record's waterfall
+// (FlightRec.Spans) into per-stage aggregates.
 //
 // The recorder is strictly an observer: it never touches engine, cache, or
 // PMU state, so simulated timing is byte-identical with it attached (the
@@ -39,7 +41,7 @@ const (
 )
 
 // FlightClassName maps a FlightRec.Class ordinal to the request-class
-// label the tracer and path maps use.
+// label the path maps use.
 func FlightClassName(c uint8) string {
 	if c&1 == FlightStore {
 		return "DWr"
@@ -52,24 +54,37 @@ func FlightClassName(c uint8) string {
 // healthy CXL at 700-1500, and the retry/viral pathologies beyond.
 var flightBounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// FlightRec is the packed per-request record (48 bytes, no pointers, no
+// FlightRec is the packed per-request record (64 bytes, no pointers, no
 // heap).  Stage timestamps are cycle deltas from Issue so the struct stays
 // compact; a zero delta means the request never reached that stage (an L1
-// hit has no L2 entry).  Loc is the sim-side ServeLoc ordinal — obs cannot
-// import the simulator, so the CLI tools map it back to a name.
+// hit has no L2 entry, a DRAM-served miss no link stages).  The non-zero
+// stages are monotonic: L2Start ≤ TOREnter ≤ MemEnter ≤ TxStart ≤
+// DevArrive ≤ MediaStart ≤ Data ≤ Done.  Loc is the sim-side ServeLoc
+// ordinal — obs cannot import the simulator, so the machine installs a
+// namer (SetLocName) and the CLI tools map it back to a name.
 type FlightRec struct {
 	Addr  uint64 `json:"addr"`
 	Issue uint64 `json:"issue"`
 	Done  uint64 `json:"done"`
 
-	L2Start  uint32 `json:"l2_start"`  // delta from Issue; 0 = not reached
-	TOREnter uint32 `json:"tor_enter"` // delta from Issue; 0 = not reached
-	MemEnter uint32 `json:"mem_enter"` // delta from Issue; 0 = not reached
-	Seq      uint32 `json:"seq"`       // promotion-pipeline sequence number
+	L2Start  uint32 `json:"l2_start"`  // L2 lookup begins
+	TOREnter uint32 `json:"tor_enter"` // CHA/TOR insert
+	MemEnter uint32 `json:"mem_enter"` // memory path entry: IMC or M2PCIe ingress
 
-	Core  uint16 `json:"core"`
-	Class uint8  `json:"class"` // FlightLoad or FlightStore
-	Loc   uint8  `json:"loc"`   // ServeLoc ordinal
+	// CXL device path: final M2S serialization start, device arrival,
+	// media service start, media data ready.  Data is also the IMC data
+	// return of a DRAM-served request.
+	TxStart    uint32 `json:"tx_start,omitempty"`
+	DevArrive  uint32 `json:"dev_arrive,omitempty"`
+	MediaStart uint32 `json:"media_start,omitempty"`
+	Data       uint32 `json:"data,omitempty"`
+
+	Seq uint32 `json:"seq"` // promotion-pipeline sequence number
+
+	Core   uint16 `json:"core"`
+	Replay uint16 `json:"lrsm_replay,omitempty"` // LRSM replay cycles, saturating
+	Class  uint8  `json:"class"`                 // FlightLoad or FlightStore
+	Loc    uint8  `json:"loc"`                   // ServeLoc ordinal
 
 	LFB uint8 `json:"lfb"` // core LFB occupancy at completion
 	SB  uint8 `json:"sb"`  // core store-buffer occupancy at completion
@@ -189,10 +204,8 @@ func (s *p2) estimate() float64 {
 }
 
 // flightLane is one core's slice of the recorder: a ring of the last
-// ringCap records.  The mutex orders the single sim-side writer against
-// HTTP-side snapshot readers.
+// ringCap records, guarded by Flight.mu.
 type flightLane struct {
-	mu   sync.Mutex
 	ring []FlightRec
 	n    uint64 // total records ever filed on this core
 }
@@ -219,10 +232,13 @@ type flightAgg struct {
 	devCycles   uint64 // memory-path entry -> done (IMC or M2PCIe/CXL + return)
 	byLoc       [16]uint64
 	devByLoc    [16]uint64
+	stages      [StageCount]StageStat // the waterfall segments, plus LRSM detours
 }
 
 // Flight owns the per-core rings, the promotion pipeline (quantile
 // sketches, tail store, exemplars), and the epoch/engine context stamps.
+// One mutex orders the single sim-side writer against HTTP-side snapshot
+// readers.
 type Flight struct {
 	enabled atomic.Bool
 	epoch   atomic.Uint64
@@ -238,7 +254,8 @@ type Flight struct {
 	hist      [flightClasses]*Histogram
 	tail      []TailRec
 	tailN     uint64
-	pendingFn func() int // engine-depth probe
+	pendingFn func() int         // engine-depth probe
+	locName   func(uint8) string // ServeLoc namer
 }
 
 // NewFlight sizes the recorder at attach time: cores per-core rings of
@@ -295,15 +312,33 @@ func (f *Flight) SetPendingProbe(fn func() int) {
 	f.mu.Unlock()
 }
 
-// Record files a completed request: ring entry plus the shared promotion
-// pipeline.
+// SetLocName installs the namer that maps FlightRec.Loc ordinals to serve
+// location names for exports (/trace).
+func (f *Flight) SetLocName(fn func(uint8) string) {
+	f.mu.Lock()
+	f.locName = fn
+	f.mu.Unlock()
+}
+
+// LocName names a FlightRec.Loc ordinal with the installed namer, or
+// prints the ordinal when none is installed.
+func (f *Flight) LocName(loc uint8) string {
+	f.mu.Lock()
+	fn := f.locName
+	f.mu.Unlock()
+	if fn == nil {
+		return fmt.Sprint(loc)
+	}
+	return fn(loc)
+}
+
+// Record files a completed request: the shared promotion pipeline (which
+// stamps its sequence number) plus the ring entry.
 func (f *Flight) Record(core int, r FlightRec) {
 	ln := f.lane(core)
-	ln.mu.Lock()
-	ln.push(r)
-	ln.mu.Unlock()
 	f.mu.Lock()
 	f.process(&r)
+	ln.push(r)
 	f.mu.Unlock()
 }
 
@@ -348,6 +383,19 @@ func (f *Flight) process(r *FlightRec) {
 		a.devByLoc[r.Loc&15] += dev
 	}
 	a.byLoc[r.Loc&15]++
+	if lat > 0 {
+		a.stages[StageReq].Spans++
+		a.stages[StageReq].Cycles += lat
+	}
+	var segs [maxSegments]segment
+	for _, sg := range segs[:r.segments(&segs)] {
+		a.stages[sg.st].Spans++
+		a.stages[sg.st].Cycles += uint64(sg.to - sg.from)
+	}
+	if r.Replay > 0 {
+		a.stages[StageLRSM].Spans++
+		a.stages[StageLRSM].Cycles += uint64(r.Replay)
+	}
 
 	f.hist[cls].Observe(float64(lat))
 
@@ -382,14 +430,9 @@ func (f *Flight) promote(r *FlightRec, cls int, thr float64) {
 
 // RecordsTotal is the count of records ever filed across all cores.
 func (f *Flight) RecordsTotal() uint64 {
-	var n uint64
-	for i := range f.lanes {
-		ln := &f.lanes[i]
-		ln.mu.Lock()
-		n += ln.n
-		ln.mu.Unlock()
-	}
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.agg[FlightLoad].records + f.agg[FlightStore].records
 }
 
 // Promoted is the count of records ever promoted to the tail store.
@@ -418,6 +461,15 @@ func (f *Flight) Threshold(class int) float64 {
 	return sk.estimate()
 }
 
+// StageStats returns one class's per-stage aggregates over every record
+// seen: the waterfall segments of FlightRec.Spans, and under StageLRSM the
+// records with replays and their replay cycles.
+func (f *Flight) StageStats(class int) [StageCount]StageStat {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.agg[class&1].stages
+}
+
 // TailRecs returns the promoted records, oldest first.
 func (f *Flight) TailRecs() []TailRec {
 	f.mu.Lock()
@@ -441,8 +493,8 @@ func (f *Flight) tailLocked() []TailRec {
 // CoreRecords returns one core's ring contents, oldest first.
 func (f *Flight) CoreRecords(core int) []FlightRec {
 	ln := f.lane(core)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]FlightRec, 0, len(ln.ring))
 	if ln.n > uint64(len(ln.ring)) {
 		pos := ln.n % uint64(cap(ln.ring))
@@ -451,6 +503,17 @@ func (f *Flight) CoreRecords(core int) []FlightRec {
 	} else {
 		out = append(out, ln.ring...)
 	}
+	return out
+}
+
+// Records returns every core's ring contents merged in filing (Seq)
+// order: the most recent requests, each with its full waterfall.
+func (f *Flight) Records() []FlightRec {
+	var out []FlightRec
+	for c := range f.lanes {
+		out = append(out, f.CoreRecords(c)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

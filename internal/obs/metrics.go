@@ -1,13 +1,16 @@
 // Package obs is the observability layer of the reproduction: a metrics
 // registry (counters, gauges, histograms with a Prometheus text endpoint),
-// a sampled request-path tracer that records per-request span waterfalls as
-// requests traverse SB/LFB -> L1D/L2 -> CHA -> IMC / M2PCIe / CXL, and a
-// live introspection HTTP server (/metrics, /status, /trace, /debug/pprof).
+// the always-on flight recorder — the one per-request capture path, whose
+// packed records carry each request's stage boundaries through SB/LFB ->
+// L2 -> CHA -> IMC or M2PCIe -> CXL link -> device queue -> media ->
+// return, rendered as Perfetto waterfalls by WriteChromeTrace — postmortem
+// bundles, and a live introspection HTTP server (/metrics, /status,
+// /trace, /flight, /debug/pprof).
 //
 // Design contract: everything on a simulator or profiler hot path is
 // allocation-free and guarded by one atomic flag, so attached-but-disabled
 // instrumentation costs a nil-check plus an atomic load (proved ≤2% by the
-// paired TracerOff benchmarks gated in `make bench-regress`).  Simulator
+// paired FlightOff benchmarks gated in `make bench-regress`).  Simulator
 // state that is not atomically updatable (engine depth, PMU counters) is
 // *pushed* into the registry at epoch-sync boundaries by the single-owner
 // profiler loop — readers (the HTTP server) only ever see atomic values, so

@@ -20,7 +20,7 @@ type StatusFunc func() any
 //
 //	/metrics      Prometheus text exposition of a Registry
 //	/status       JSON snapshot from the StatusFunc
-//	/trace        request-path spans as Chrome trace_event JSON (Perfetto)
+//	/trace        flight-record waterfalls as Chrome trace_event JSON (Perfetto)
 //	/flight       flight-recorder snapshot (tail store, thresholds, exemplars)
 //	/flight/dump  a full postmortem bundle, assembled on demand
 //	/debug/pprof  the standard Go profiling handlers
@@ -28,7 +28,6 @@ type StatusFunc func() any
 // Everything is stdlib; there are no external dependencies.
 type Server struct {
 	reg    *Registry
-	tracer *Tracer
 	status StatusFunc
 	ghz    float64
 
@@ -41,19 +40,19 @@ type Server struct {
 	addr   net.Addr
 }
 
-// NewServer builds a server over the given registry, tracer, and status
-// source.  tracer and status may be nil (the endpoints then report 404 and
-// an empty object respectively); ghz scales trace timestamps.
-func NewServer(reg *Registry, tracer *Tracer, status StatusFunc, ghz float64) *Server {
+// NewServer builds a server over the given registry and status source.
+// status may be nil (the endpoint then reports an empty object); ghz
+// scales trace timestamps.
+func NewServer(reg *Registry, status StatusFunc, ghz float64) *Server {
 	if reg == nil {
 		reg = Default
 	}
-	return &Server{reg: reg, tracer: tracer, status: status, ghz: ghz}
+	return &Server{reg: reg, status: status, ghz: ghz}
 }
 
 // SetFlight attaches a flight recorder (and the fault-plan string bundles
-// should carry) so /flight and /flight/dump serve content.  Call before
-// Start.
+// should carry) so /trace, /flight and /flight/dump serve content.  Call
+// before Start.
 func (s *Server) SetFlight(f *Flight, faultPlan string) {
 	s.flight = f
 	s.plan = faultPlan
@@ -172,13 +171,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	if s.tracer == nil {
-		http.Error(w, "no tracer attached (run with tracing enabled)", http.StatusNotFound)
+	if s.flight == nil {
+		http.Error(w, "no flight recorder attached (run with -flight)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="pathfinder-spans.json"`)
-	_ = WriteChromeTrace(w, s.tracer.Records(), s.ghz)
+	_ = WriteChromeTrace(w, s.flight.Records(), s.ghz, s.flight.LocName)
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {

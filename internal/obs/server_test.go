@@ -14,13 +14,15 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Counter("pf_profiler_epochs_total", "epochs run").Add(3)
-	tr := NewTracer(8, 1)
-	tr.Enable()
-	commitOne(tr, 0, 0x40, Span{Stage: StageReq, Start: 0, End: 10})
+	fl := NewFlight(1, 8, 8)
+	fl.Enable()
+	fl.Record(0, cxlRec())
 	status := func() any {
 		return map[string]any{"epoch": 3, "flows": []string{"stream"}}
 	}
-	srv := httptest.NewServer(NewServer(reg, tr, status, 2.0).Handler())
+	s := NewServer(reg, status, 2.0)
+	s.SetFlight(fl, "")
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -72,13 +74,16 @@ func TestServerTrace(t *testing.T) {
 		t.Fatalf("/trace status = %d", code)
 	}
 	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/trace not JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 1 {
-		t.Fatalf("/trace has %d events, want 1", len(doc.TraceEvents))
+	// The recorded CXL request renders as its envelope plus eight stages.
+	if len(doc.TraceEvents) != 9 || doc.TraceEvents[6].Name != "cxl_devq" {
+		t.Fatalf("/trace events %+v, want the 9-event CXL waterfall", doc.TraceEvents)
 	}
 }
 
@@ -94,7 +99,7 @@ func TestServerPprofIndex(t *testing.T) {
 }
 
 func TestServerStartStop(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +108,10 @@ func TestServerStartStop(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("live /metrics status = %d", code)
 	}
-	// nil tracer: /trace is 404, not a crash.
+	// No flight recorder: /trace is 404, not a crash.
 	code, _ = get(t, "http://"+addr.String()+"/trace")
 	if code != http.StatusNotFound {
-		t.Fatalf("/trace without tracer = %d, want 404", code)
+		t.Fatalf("/trace without a flight recorder = %d, want 404", code)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -123,7 +128,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		<-release // simulate a slow scraper mid-request
 		return map[string]any{"ok": true}
 	}
-	s := NewServer(NewRegistry(), nil, status, 1)
+	s := NewServer(NewRegistry(), status, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +177,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 		<-release
 		return nil
 	}
-	s := NewServer(NewRegistry(), nil, status, 1)
+	s := NewServer(NewRegistry(), status, 1)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +196,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 
 // Shutdown before Start is a no-op, mirroring Close.
 func TestServerShutdownUnstarted(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	if err := s.Shutdown(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestServerShutdownUnstarted(t *testing.T) {
 // order) must be idempotent no-ops.  The old code let a late Close race
 // the listener Shutdown had already torn down.
 func TestServerTeardownIdempotent(t *testing.T) {
-	s := NewServer(nil, nil, nil, 1)
+	s := NewServer(nil, nil, 1)
 	if _, err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +237,7 @@ func TestServerTeardownIdempotent(t *testing.T) {
 
 func TestServerFlightEndpoints(t *testing.T) {
 	// Without a recorder both endpoints 404.
-	bare := httptest.NewServer(NewServer(NewRegistry(), nil, nil, 1).Handler())
+	bare := httptest.NewServer(NewServer(NewRegistry(), nil, 1).Handler())
 	defer bare.Close()
 	if code, _ := get(t, bare.URL+"/flight"); code != http.StatusNotFound {
 		t.Fatalf("/flight without recorder = %d, want 404", code)
@@ -246,7 +251,7 @@ func TestServerFlightEndpoints(t *testing.T) {
 	fl.Record(0, flightRec(0, 0, 123))
 	reg := NewRegistry()
 	reg.Counter("pf_epochs_total", "epochs").Add(2)
-	s := NewServer(reg, nil, func() any { return map[string]int{"epoch": 2} }, 1)
+	s := NewServer(reg, func() any { return map[string]int{"epoch": 2} }, 1)
 	s.SetFlight(fl, "seed=9,crc=1e-4")
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -8,12 +8,17 @@ import (
 // lfbEntry is one line-fill-buffer slot: an in-flight demand miss,
 // prefetch, or RFO, held from allocation until its data returns.
 type lfbEntry struct {
-	line      uint64
-	done      Cycles
-	times     reqTimes
-	class     ReqClass
-	missedL2  bool
-	missedLLC bool
+	line uint64
+	done Cycles
+	missEdges
+	class ReqClass
+}
+
+// missEdges are the hierarchy crossings of a request that split a blocked
+// core interval across the L1D/L2/L3-miss stall counters.
+type missEdges struct {
+	torEnter, memEnter  Cycles
+	missedL2, missedLLC bool
 }
 
 // sbEntry is one store-buffer slot, held until the store commits to L1D.
@@ -253,18 +258,24 @@ type accessResult struct {
 	missedLLC bool
 }
 
+// edges returns the crossings stall attribution needs.
+func (r *accessResult) edges() missEdges {
+	return missEdges{torEnter: r.times.torEnter, memEnter: r.times.memEnter,
+		missedL2: r.missedL2, missedLLC: r.missedLLC}
+}
+
 // attributeLoadStall charges a blocked interval [b0, b1) of the core to the
 // hierarchical stall counters, based on how deep the blocking request went:
 // the whole interval stalls on the L1D miss; the part after the request
 // passed L2 (or the LLC) also stalls on the L2 (L3) miss, yielding the
 // memory_activity/cycle_activity semantics of Table 1.
-func (c *Core) attributeLoadStall(b0, b1 Cycles, res *accessResult) {
+func (c *Core) attributeLoadStall(b0, b1 Cycles, res missEdges) {
 	if b1 <= b0 {
 		return
 	}
 	c.bank.Add(pmu.StallsL1DMiss, b1-b0)
 	if res.missedL2 {
-		off := res.times.torEnter
+		off := res.torEnter
 		if off < b0 {
 			off = b0
 		}
@@ -273,7 +284,7 @@ func (c *Core) attributeLoadStall(b0, b1 Cycles, res *accessResult) {
 		}
 	}
 	if res.missedLLC {
-		off := res.times.memEnter
+		off := res.memEnter
 		if off < b0 {
 			off = b0
 		}

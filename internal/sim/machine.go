@@ -40,15 +40,9 @@ type Machine struct {
 	// device (an LLC miss) — the signal memory-tiering policies sample.
 	accessHook func(core int, lineAddr uint64, write bool)
 
-	// tr is the attached request-path tracer (nil when tracing is off);
-	// cur is the record of the demand op currently executing, set only for
-	// the synchronous extent of one sampled coreStep.
-	tr  *obs.Tracer
-	cur *obs.ReqRec
-
-	// fl is the attached flight recorder (nil when detached).  Unlike the
-	// sampled tracer it observes every demand load and store completion,
-	// filing packed records from the functional timing path.
+	// fl is the attached flight recorder (nil when detached).  It observes
+	// every demand load and store completion, filing packed records from
+	// the functional timing path.
 	fl *obs.Flight
 
 	// compTable is the reusable component-table scratch for checkpoint
@@ -209,22 +203,22 @@ func (m *Machine) Sync() {
 // instead of unconditionally scheduling an evCoreStep and round-tripping
 // through the engine — keeps executing inline, advancing the clock
 // directly, for as long as (a) no other live event (wheel or heap) is
-// scheduled at or before `next`, (b) `next` stays within the active
-// RunUntil horizon, and (c) the op was not sampled by the tracer.  The
-// fast path only fires when the core step would have been the globally
-// next event anyway, so the op/event interleaving — and every PMU
-// counter, occupancy integral, and trace span derived from it — is
+// scheduled at or before `next`, and (b) `next` stays within the active
+// RunUntil horizon.  The fast path only fires when the core step would
+// have been the globally next event anyway, so the op/event interleaving
+// — and every PMU counter, occupancy integral, and flight record derived
+// from it — is
 // identical to the event-driven path by construction (pinned by the
 // fast-path golden digest suite).  Hit-dominated op runs thus cost no
 // engine round-trips; misses bail out on their own same-cycle events.
 func (m *Machine) coreStep(c *Core, now Cycles) {
 	eng := m.eng
 	for {
-		next, sampled, ok := m.stepOne(c, now)
+		next, ok := m.stepOne(c, now)
 		if !ok {
 			return
 		}
-		if eng.runAhead && next <= eng.horizon && !sampled && eng.quietUntil(next) {
+		if eng.runAhead && next <= eng.horizon && eng.quietUntil(next) {
 			eng.now = next
 			eng.inlineSteps++
 			// Apply observer entries due by the new cycle before the next
@@ -242,13 +236,13 @@ func (m *Machine) coreStep(c *Core, now Cycles) {
 // stepOne executes exactly one workload op on core c at cycle now, returning
 // the core's continuation cycle.  ok is false when the core has stopped (no
 // op was executed); the caller owns rescheduling.
-func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
+func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, ok bool) {
 	if !c.running || c.gen == nil {
-		return 0, false, false
+		return 0, false
 	}
 	if !c.gen.Next(&c.op) {
 		c.running = false
-		return 0, false, false
+		return 0, false
 	}
 	op := &c.op
 	t := now + Cycles(op.Think)
@@ -256,25 +250,9 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 
 	switch op.Kind {
 	case workload.Load:
-		if tr := m.tr; tr != nil && tr.Sample() {
-			sampled = true
-			m.cur = tr.Begin(c.id, op.Addr, "DRd")
-			next = m.load(c, op.Addr, t, op.Dep)
-			tr.Commit(m.cur)
-			m.cur = nil
-		} else {
-			next = m.load(c, op.Addr, t, op.Dep)
-		}
+		next = m.load(c, op.Addr, t, op.Dep)
 	case workload.Store:
-		if tr := m.tr; tr != nil && tr.Sample() {
-			sampled = true
-			m.cur = tr.Begin(c.id, op.Addr, "DWr")
-			next = m.store(c, op.Addr, t)
-			tr.Commit(m.cur)
-			m.cur = nil
-		} else {
-			next = m.store(c, op.Addr, t)
-		}
+		next = m.store(c, op.Addr, t)
 	case workload.Prefetch:
 		m.swPrefetch(c, op.Addr, t)
 		next = t + 1
@@ -285,7 +263,7 @@ func (m *Machine) stepOne(c *Core, now Cycles) (next Cycles, sampled, ok bool) {
 		next = now + 1
 	}
 	c.bank.Add(pmu.CPUClkUnhalted, next-now)
-	return next, sampled, true
+	return next, true
 }
 
 // load executes a demand load issued at t, returning when the core may
@@ -300,11 +278,6 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 		c.bank.Inc(pmu.MemLoadL1Hit)
 		c.bank.Add(pmu.MemTransLoadLatency, uint64(m.cfg.L1Lat))
 		c.bank.Inc(pmu.MemTransLoadCount)
-		if rec := m.cur; rec != nil {
-			rec.Span(obs.StageReq, t, t+m.cfg.L1Lat)
-			rec.Loc = SrvL1.String()
-			rec.SealMem() // trainL1PF below may visit memory devices
-		}
 		m.trainL1PF(c, la, t)
 		if m.fl.Enabled() {
 			m.flightDone(c, obs.FlightLoad, addr, t, t+m.cfg.L1Lat, SrvL1, nil)
@@ -318,12 +291,6 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 		c.bank.Inc(pmu.MemLoadFBHit)
 		c.bank.Add(pmu.MemTransLoadLatency, uint64(e.done-t))
 		c.bank.Inc(pmu.MemTransLoadCount)
-		if rec := m.cur; rec != nil {
-			rec.Span(obs.StageLFB, t, e.done)
-			rec.Span(obs.StageReq, t, e.done)
-			rec.Loc = SrvLFB.String()
-			rec.SealMem()
-		}
 		m.trainL1PF(c, la, t)
 		if m.fl.Enabled() {
 			// Stage times belong to the merged-into miss, which may predate
@@ -331,9 +298,7 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 			m.flightDone(c, obs.FlightLoad, addr, t, e.done, SrvLFB, nil)
 		}
 		if dep {
-			res := accessResult{done: e.done, loc: SrvLFB, times: e.times,
-				missedL2: e.missedL2, missedLLC: e.missedLLC}
-			c.attributeLoadStall(t, e.done, &res)
+			c.attributeLoadStall(t, e.done, e.missEdges)
 			return e.done
 		}
 		return t + 1
@@ -342,25 +307,19 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 	res := m.missPath(c, ClassDRd, la, t)
 	c.bank.Add(pmu.MemTransLoadLatency, uint64(res.done-t))
 	c.bank.Inc(pmu.MemTransLoadCount)
-	if rec := m.cur; rec != nil {
-		rec.Span(obs.StageReq, t, res.done)
-		rec.Loc = res.loc.String()
-	}
 	m.trainL1PF(c, la, t)
 	if m.fl.Enabled() {
 		m.flightDone(c, obs.FlightLoad, addr, t, res.done, res.loc, &res.times)
 	}
 
 	if dep {
-		c.attributeLoadStall(t, res.done, &res)
+		c.attributeLoadStall(t, res.done, res.edges())
 		return res.done
 	}
 	// Independent load: the core proceeds once the LFB slot was obtained.
 	cont := res.times.issue // missPath sets issue to the post-wait slot time
 	if cont > t {
-		waited := accessResult{done: cont, loc: res.loc, times: res.times,
-			missedL2: res.missedL2, missedLLC: res.missedLLC}
-		c.attributeLoadStall(t, cont, &waited)
+		c.attributeLoadStall(t, cont, res.edges())
 	}
 	return cont + 1
 }
@@ -371,13 +330,8 @@ func (m *Machine) load(c *Core, addr uint64, t Cycles, dep bool) Cycles {
 // everything that occupies a line-fill-buffer entry.
 func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessResult {
 	start, waitedOn, fbWaited := c.allocLFB(t, m.cfg.LFBEntries)
-	if rec := m.demandRec(class); rec != nil && start > t {
-		rec.Span(obs.StageLFB, t, start)
-	}
 	if fbWaited && class == ClassDRd {
-		blocked := accessResult{done: start, loc: SrvLFB, times: waitedOn.times,
-			missedL2: waitedOn.missedL2, missedLLC: waitedOn.missedLLC}
-		c.attributeLoadStall(t, start, &blocked)
+		c.attributeLoadStall(t, start, waitedOn.missEdges)
 	}
 	res := m.accessL2Down(c, class, la, start)
 	res.times.issue = start
@@ -385,8 +339,7 @@ func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessR
 	if res.done < c.lfbMinDone {
 		c.lfbMinDone = res.done
 	}
-	c.lfb = append(c.lfb, lfbEntry{line: la, done: res.done, times: res.times,
-		class: class, missedL2: res.missedL2, missedLLC: res.missedLLC})
+	c.lfb = append(c.lfb, lfbEntry{line: la, done: res.done, missEdges: res.edges(), class: class})
 	done := res.done
 	if class == ClassDRd {
 		// The LFB residency and the L1-miss-outstanding window coincide
@@ -400,18 +353,6 @@ func (m *Machine) missPath(c *Core, class ReqClass, la uint64, t Cycles) accessR
 		m.eng.obsAt(start, evOccPulse, c.lfbOcc, 0, uint64(done))
 	}
 	return res
-}
-
-// demandRec returns the current trace record when the request class is the
-// sampled demand op itself (DRd/RFO) and the record's memory stages are
-// still open — prefetches and writebacks riding on the same coreStep get
-// nil, so they never pollute the demand waterfall.
-func (m *Machine) demandRec(class ReqClass) *obs.ReqRec {
-	r := m.cur
-	if r == nil || r.MemSealed() || (class != ClassDRd && class != ClassRFO) {
-		return nil
-	}
-	return r
 }
 
 // fillsL1 reports whether a class installs the line into the L1D.
@@ -437,10 +378,6 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 		m.countL2(c, class, true)
 		res.done = res.times.l2Start + m.cfg.L2Lat
 		res.loc = SrvL2
-		if rec := m.demandRec(class); rec != nil {
-			rec.Span(obs.StageL2, res.times.l2Start, res.done)
-			rec.SealMem() // trainL2PF below may visit memory devices
-		}
 		if fillsL1(class) {
 			m.fillL1(c, la, ln.State, res.done)
 		}
@@ -452,9 +389,6 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	m.countL2(c, class, false)
 	res.missedL2 = true
 	tOff := res.times.l2Start + m.cfg.L2TagLat
-	if rec := m.demandRec(class); rec != nil {
-		rec.Span(obs.StageL2, res.times.l2Start, tOff)
-	}
 
 	// Offcore request bookkeeping.
 	c.bank.Inc(pmu.OffcoreAllRequests)
@@ -470,7 +404,6 @@ func (m *Machine) accessL2Down(c *Core, class ReqClass, la uint64, t Cycles) acc
 	res.done = llc.done
 	res.loc = llc.loc
 	res.missedLLC = llc.missedLLC
-	res.times = llc.times
 
 	// Offcore-outstanding trackers (chronological via events).
 	isRead := class != ClassRFO && class != ClassL2PFRFO
@@ -556,11 +489,10 @@ type llcResult struct {
 	loc       ServeLoc
 	missedLLC bool
 	shared    bool // other cores retain copies
-	times     reqTimes
 }
 
 // accessLLCDown resolves a request at its home LLC slice and, on a miss,
-// at the backing memory device.
+// at the backing memory device, recording its stage times in rt.
 func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt *reqTimes) llcResult {
 	s := m.slices[mem.SliceOf(la, len(m.slices))]
 	arrive := t + m.cfg.MeshLat
@@ -621,13 +553,9 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 			ln.State = Modified
 		}
 		done := arrive + lat
-		if rec := m.demandRec(class); rec != nil {
-			rec.Span(obs.StageCHA, arrive, done)
-			rec.SealMem() // a later victim writeback may visit memory devices
-		}
 		m.torTransit(s, c, class, loc, arrive, done)
 		m.coreServeCounters(c, class, loc, done)
-		return llcResult{done: done, loc: loc, shared: sharedAfter, times: *rt}
+		return llcResult{done: done, loc: loc, shared: sharedAfter}
 	}
 
 	// LLC miss: fetch from the backing device.
@@ -644,6 +572,7 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 	case mem.LocalDRAM:
 		ch := m.imc[mem.ChannelOf(la, len(m.imc))]
 		data = ch.read(m.eng, rt.memEnter)
+		rt.data = data
 		loc = SrvLocalDRAM
 	case mem.RemoteDRAM:
 		// Cross the UPI link, queue at the remote socket's IMC, and
@@ -655,20 +584,14 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 		} else {
 			data = upi + m.cfg.DRAMLat + m.cfg.RemoteDRAMLat
 		}
+		rt.data = data
 		loc = SrvRemoteDRAM
 	case mem.CXLDRAM:
 		dev := m.as.Node(m.as.NodeOf(la)).Device
-		data = m.ports[dev].read(m.eng, rt.memEnter, la)
+		data = m.ports[dev].read(m.eng, rt.memEnter, la, rt)
 		loc = SrvCXL
 	}
 	done := data + m.cfg.MeshLat
-	if rec := m.demandRec(class); rec != nil {
-		rec.Span(obs.StageCHA, arrive, rt.memEnter)
-		if loc == SrvLocalDRAM || loc == SrvRemoteDRAM {
-			rec.Span(obs.StageIMC, rt.memEnter, data)
-		}
-		rec.SealMem() // the victim eviction below may visit memory devices
-	}
 
 	// Fill the LLC, handling the victim.
 	st := Exclusive
@@ -689,7 +612,7 @@ func (m *Machine) accessLLCDown(c *Core, class ReqClass, la uint64, t Cycles, rt
 
 	m.torTransit(s, c, class, loc, arrive, done)
 	m.coreServeCounters(c, class, loc, done)
-	return llcResult{done: done, loc: loc, missedLLC: true, times: *rt}
+	return llcResult{done: done, loc: loc, missedLLC: true}
 }
 
 // peerHoldsDirty reports whether any core in the presence bitmap holds la
@@ -967,9 +890,6 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 			} else {
 				c.bank.Add(pmu.ExeBoundOnStores, w-t)
 			}
-			if rec := m.cur; rec != nil {
-				rec.Span(obs.StageSB, t, w)
-			}
 		}
 		start = w
 		c.pruneSB(start)
@@ -995,9 +915,6 @@ func (m *Machine) store(c *Core, addr uint64, t Cycles) Cycles {
 	c.sb = append(c.sb, sbEntry{line: la, done: done})
 	c.bank.Add(pmu.MemTransStoreSample, uint64(done-t))
 	c.bank.Inc(pmu.MemTransStoreCount)
-	if rec := m.cur; rec != nil {
-		rec.Span(obs.StageReq, t, done)
-	}
 	if m.fl.Enabled() {
 		m.flightDone(c, obs.FlightStore, addr, t, done, loc, &times)
 	}
@@ -1013,18 +930,11 @@ func (m *Machine) drainStore(c *Core, la uint64, t Cycles) (Cycles, ServeLoc, re
 	if ln := c.l1.Lookup(la); ln != nil {
 		if ln.State == Modified || ln.State == Exclusive {
 			ln.State = Modified
-			if rec := m.cur; rec != nil && rec.Loc == "" {
-				rec.Loc = SrvL1.String()
-				rec.SealMem()
-			}
 			return t + m.cfg.L1Lat, SrvL1, reqTimes{}
 		}
 		// Shared/Forward: upgrade via RFO below.
 	}
 	res := m.missPath(c, ClassRFO, la, t)
-	if rec := m.cur; rec != nil && rec.Loc == "" {
-		rec.Loc = res.loc.String()
-	}
 	if ln := c.l1.Peek(la); ln != nil {
 		ln.State = Modified
 	}
@@ -1188,20 +1098,13 @@ func (m *Machine) InlineSteps() uint64 { return m.eng.inlineSteps }
 // ops stepped is the fast-path hit rate.
 func (m *Machine) DispatchedEvents() uint64 { return m.eng.dispatched }
 
-// SetTracer attaches a request-path tracer (nil detaches).  With no tracer
-// — or a disabled one — the per-op cost is a nil check plus one atomic
-// load; sampled demand loads and stores record a span waterfall.
-func (m *Machine) SetTracer(tr *obs.Tracer) { m.tr = tr }
-
-// Tracer returns the attached tracer, or nil.
-func (m *Machine) Tracer() *obs.Tracer { return m.tr }
-
 // SetFlight attaches a flight recorder (nil detaches).  The recorder must
 // be sized for at least this machine's core count.  Attached but disabled
 // it costs one inlined atomic check per demand op; enabled it files a
 // packed record per completion without touching engine or PMU state, so
 // simulated timing is unchanged either way.  The machine also installs the
-// engine-depth probe promotions stamp into their context.
+// engine-depth probe promotions stamp into their context, and the
+// serve-location namer exports label records with.
 func (m *Machine) SetFlight(f *obs.Flight) {
 	if f != nil && f.Cores() < len(m.cores) {
 		panic(fmt.Sprintf("sim: SetFlight: recorder sized for %d cores, machine has %d",
@@ -1210,6 +1113,7 @@ func (m *Machine) SetFlight(f *obs.Flight) {
 	m.fl = f
 	if f != nil {
 		f.SetPendingProbe(m.PendingEvents)
+		f.SetLocName(func(l uint8) string { return ServeLoc(l).String() })
 	}
 }
 
@@ -1218,8 +1122,8 @@ func (m *Machine) Flight() *obs.Flight { return m.fl }
 
 // flightDone files one completed demand request with the attached flight
 // recorder.  Callers have already checked m.fl.Enabled().  rt carries the
-// stage times for requests that left the core (nil for cache-served
-// completions).
+// request's own stage times when it left the core (nil for L1 hits and LFB
+// merges).
 func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycles, loc ServeLoc, rt *reqTimes) {
 	r := obs.FlightRec{
 		Addr:  addr,
@@ -1235,6 +1139,11 @@ func (m *Machine) flightDone(c *Core, class uint8, addr uint64, issue, done Cycl
 		r.L2Start = flightDelta(issue, rt.l2Start)
 		r.TOREnter = flightDelta(issue, rt.torEnter)
 		r.MemEnter = flightDelta(issue, rt.memEnter)
+		r.TxStart = flightDelta(issue, rt.txStart)
+		r.DevArrive = flightDelta(issue, rt.devArrive)
+		r.MediaStart = flightDelta(issue, rt.mediaStart)
+		r.Data = flightDelta(issue, rt.data)
+		r.Replay = uint16(min(rt.replay, 1<<16-1))
 	}
 	m.fl.Record(c.id, r)
 }
@@ -1282,7 +1191,7 @@ func (m *Machine) MigratePage(addr uint64, dst mem.NodeID) error {
 		case mem.LocalDRAM:
 			m.imc[mem.ChannelOf(la, len(m.imc))].read(m.eng, now)
 		case mem.CXLDRAM:
-			m.ports[m.as.Node(src).Device].read(m.eng, now, la)
+			m.ports[m.as.Node(src).Device].read(m.eng, now, la, nil)
 		case mem.RemoteDRAM:
 			m.remoteBus.acquire(now)
 		}

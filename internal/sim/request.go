@@ -99,11 +99,24 @@ func (s ServeLoc) String() string {
 func (s ServeLoc) BeyondLLC() bool { return s >= SrvSNCLLC }
 
 // reqTimes records when a request crossed each hierarchy boundary; the
-// core's stall attribution and the occupancy trackers are driven off these.
+// core's stall attribution and the occupancy trackers are driven off these,
+// and the flight recorder files them as the request's stage waterfall.
+// Each request owns its reqTimes, so a prefetch or victim writeback issued
+// on the way can never write into a demand request's stages.  Zero means
+// the request never reached that boundary.
 type reqTimes struct {
 	issue    Cycles // core issued the access
 	l2Start  Cycles // discovered the L1D miss, L2 lookup begins
 	torEnter Cycles // arrived at the CHA / TOR inserted
 	memEnter Cycles // entered the memory device path (IMC or M2PCIe)
-	done     Cycles // data returned / request completed
+
+	// CXL device path (zero for DRAM-served requests): the final M2S
+	// serialization start, device arrival, media service start, and
+	// media data ready.  data is also set for DRAM, as the IMC data
+	// return.  replay sums the LRSM retry detours of both link crossings.
+	txStart    Cycles
+	devArrive  Cycles
+	mediaStart Cycles
+	data       Cycles
+	replay     Cycles
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"pathfinder/internal/cxl"
-	"pathfinder/internal/obs"
 	"pathfinder/internal/pmu"
 )
 
@@ -434,14 +433,13 @@ func flitsOf(size float64) int {
 // window is replayed through the same byte server — replay bytes consume
 // real wire bandwidth, so every later message queues behind them and the
 // inflation shows up in M2PCIe/packing-buffer occupancy.  Returns the
-// start of the final (successful) serialization, a drop-in for
-// byteServer.acquire.
-func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, ready Cycles, size float64) Cycles {
-	start := srv.acquire(ready, size)
+// start of the final (successful) serialization, and the cycles the
+// replays added before it (the LRSM detour).
+func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, ready Cycles, size float64) (start, replay Cycles) {
+	start = srv.acquire(ready, size)
 	if p.plan.Empty() {
-		return start
+		return start, 0
 	}
-	rec := eng.trace()
 
 	// The transfer's flits sit in the retry buffer from first transmission
 	// until the cumulative ack returns, one link round trip after arrival.
@@ -465,13 +463,11 @@ func (p *cxlPort) linkXfer(eng *Engine, srv *byteServer, dir cxl.Direction, read
 		eng.obsAt(start+p.cfg.FlexBusLat, evCXLCRC, p, 0, uint64(replayBytes+size))
 		prev := start
 		start = reStart + Cycles(replayBytes*srv.perByte)
-		if rec != nil {
-			rec.Span(obs.StageLRSM, prev, start)
-		}
+		replay += start - prev
 	}
 	ack := start + 2*p.cfg.FlexBusLat
 	eng.obsAt(ack, evOcc, p.retryOcc, int32(-flits), 0)
-	return start
+	return start, replay
 }
 
 // removedFastFailLat is the host-side cost of the fast-fail path: once the
@@ -572,8 +568,12 @@ func (p *cxlPort) readRemoved(eng *Engine, arrival, txStart, devArrive Cycles) C
 }
 
 // read performs a CXL.mem load (M2S Req -> S2M DRS) of line la arriving at
-// the M2PCIe ingress at arrival, returning the host data-return time.
-func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
+// the M2PCIe ingress at arrival, returning the host data-return time.  The
+// device-path stage times land in rt when it is non-nil.  Their boundaries
+// mirror the occupancy integrals AnalyzeQueues reads: arrival..txStart is
+// the M2PCIe ingress residency, devArrive..data the packing-buffer + RPQ
+// residency that prices the CXL DIMM queue estimate.
+func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64, rt *reqTimes) Cycles {
 	if p.plan.IsolatedBy(uint64(arrival)) {
 		return p.fastFail(eng, arrival)
 	}
@@ -581,8 +581,11 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 	// M2PCIe ingress: the entry waits for link credit, which is starved
 	// when the device request packing buffer is full.
 	ready := p.packReq.admit(arrival + p.cfg.M2PLat)
-	txStart := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemRd))
+	txStart, txReplay := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemRd))
 	devArrive := txStart + p.cfg.FlexBusLat
+	if rt != nil {
+		rt.txStart, rt.devArrive, rt.replay = txStart, devArrive, txReplay
+	}
 	if p.plan.RemovedBy(uint64(devArrive)) {
 		return p.readRemoved(eng, arrival, txStart, devArrive)
 	}
@@ -610,20 +613,12 @@ func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64) Cycles {
 	p.devRPQ.commit(data)
 
 	// Response: S2M DRS over the link back to the host.
-	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, data, cxl.BytesPerMessage(cxl.MemData))
+	rxStart, rxReplay := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, data, cxl.BytesPerMessage(cxl.MemData))
 	hostArrive := rxStart + p.cfg.FlexBusLat
 	done := hostArrive + p.cfg.M2PLat
-
-	if rec := eng.trace(); rec != nil {
-		// Stage boundaries mirror the occupancy integrals AnalyzeQueues
-		// reads: m2pcie = the M2PCIe ingress residency (arrival..txStart),
-		// cxl_devq + cxl_media = the packing-buffer + RPQ residency
-		// (devArrive..data) that prices the CXL DIMM queue estimate.
-		rec.Span(obs.StageM2PCIe, arrival, txStart)
-		rec.Span(obs.StageCXLLink, txStart, devArrive)
-		rec.Span(obs.StageCXLDevQ, devArrive, mediaStart)
-		rec.Span(obs.StageCXLMedia, mediaStart, data)
-		rec.Span(obs.StageCXLRet, data, done)
+	if rt != nil {
+		rt.mediaStart, rt.data = mediaStart, data
+		rt.replay += rxReplay
 	}
 
 	eng.obsAt(arrival, evCXLArrive, p, 0, 0)
@@ -644,7 +639,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	}
 
 	ready := p.packData.admit(arrival + p.cfg.M2PLat)
-	txStart := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemWr))
+	txStart, _ := p.linkXfer(eng, &p.linkTx, cxl.DirM2S, ready, cxl.BytesPerMessage(cxl.MemWr))
 	devArrive := txStart + p.cfg.FlexBusLat
 	if p.plan.RemovedBy(uint64(devArrive)) {
 		// Same discovery flow as readRemoved, with the packing-data entry
@@ -667,7 +662,7 @@ func (p *cxlPort) write(eng *Engine, arrival Cycles) (admitted, drained Cycles) 
 	done := mediaStart + p.cfg.CXLMediaLat
 	p.devWPQ.commit(done)
 
-	rxStart := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
+	rxStart, _ := p.linkXfer(eng, &p.linkRx, cxl.DirS2M, mediaStart, cxl.BytesPerMessage(cxl.Cmp)) // NDR
 	ackArrive := rxStart + p.cfg.FlexBusLat
 
 	eng.obsAt(arrival, evCXLArrive, p, 0, 0)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # obs_smoke.sh - end-to-end check of the introspection server: start
 # `pathfinder -serve` on a random port, require 200s with real content from
-# /metrics and /status, then shut the server down.  Run from the repo root
-# (CI's obs-smoke step and `make obs-smoke` both do).
+# /metrics, /status, /trace and /flight, then shut the server down.  Run
+# from the repo root (CI's obs-smoke step and `make obs-smoke` both do).
+# Needs curl and python3.
 set -eu
 
 log=$(mktemp)
@@ -50,6 +51,18 @@ code=$(curl -s -o /tmp/obs_smoke_status -w '%{http_code}' "$url/status")
 grep -q '"epochs"' /tmp/obs_smoke_status || fail "/status JSON lacks epoch fields"
 grep -q '"inline_steps"' /tmp/obs_smoke_status || fail "/status JSON lacks engine section"
 
+# /trace renders the flight recorder's rings as Chrome trace_event JSON:
+# it must parse, and the LBM:cxl core's demand misses must show their CXL
+# device-queue stage.
+code=$(curl -s -o /tmp/obs_smoke_trace -w '%{http_code}' "$url/trace")
+[ "$code" = 200 ] || fail "/trace returned $code"
+devq=$(python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+print(sum(ev["name"] == "cxl_devq" for ev in doc["traceEvents"]))
+' /tmp/obs_smoke_trace) || fail "/trace is not parseable Chrome trace JSON"
+[ "$devq" -gt 0 ] || fail "/trace has no cxl_devq event (no CXL waterfall from the LBM:cxl run)"
+
 # The flight recorder must be live: /flight serves its snapshot with real
 # records filed by the run.
 code=$(curl -s -o /tmp/obs_smoke_flight -w '%{http_code}' "$url/flight")
@@ -88,4 +101,4 @@ wait "$pid" || rc=$?
 [ "$rc" = 0 ] || fail "SIGTERM exit status $rc (want clean drain)"
 grep -q '^pathfinder: shutting down' "$log" || fail "no graceful-shutdown line after SIGTERM"
 
-echo "obs-smoke: OK ($url: /metrics has $(grep -c '^pf_' /tmp/obs_smoke_metrics) pf_ series)"
+echo "obs-smoke: OK ($url: /metrics has $(grep -c '^pf_' /tmp/obs_smoke_metrics) pf_ series, /trace has $devq cxl_devq events)"
