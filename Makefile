@@ -31,7 +31,7 @@ BENCH_GOMAXPROCS ?= 1
 # derived sim-ops/sec) into BENCH_<date>.json so the perf trajectory is
 # tracked across PRs.
 bench-json:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|SimThinkHeavyStream|CaptureSnapshot|PFBuilder|PFEstimator|PFAnalyzer|AnalyzeQueues|EpochLoop' \
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|SimCXLStream|SimMultiCoreStream|SimThinkHeavyStream|CaptureSnapshot|PFBuilder|PFEstimator|PFAnalyzer|EpochLoop' \
 		-benchmem -benchtime 200000x . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
 	@echo wrote BENCH_$$(date +%Y%m%d).json
 
@@ -41,11 +41,13 @@ bench-json:
 # bench-json's, or the differently-amortized warmup skews the comparison;
 # the gate takes the fastest of three repetitions to filter scheduler noise.
 # The same-run pair benchmarks run apart from those, as nine alternating
-# `-count 1` rounds; bench_test.go defines each variant right after its
-# base, so within a round the two halves of a pair run back to back
-# instead of minutes apart.  benchregress gates a pair on the median of
-# its per-round variant/base ratios, which keeps host-speed drift and a
-# few noisy rounds out of a tight bound.
+# `-count 1` rounds, so the two halves of a pair run back to back instead
+# of minutes apart.  Odd rounds run them in bench_test.go order, each base
+# before its variant; even rounds run one anchored benchmark at a time in
+# reverse order, each variant before its base, so whichever half a warm
+# (or cooling) host favours is not always the same one.  benchregress
+# gates a pair on the median of its per-round variant/base ratios, which
+# keeps host-speed drift and a few noisy rounds out of a tight bound.
 # The Flight pairs: the disabled flight recorder is meant to ride along in
 # production, so its off-cost (FlightOff vs the recorder-free twin) is
 # bounded at 2% — one nil check plus an inlined atomic load per
@@ -63,9 +65,19 @@ bench-json:
 # allocation sneaking in, which would add >=16 B/op at these counts.
 bench-regress:
 	@tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
-	for round in 1 2 3 4 5 6 7 8 9; do \
-		GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimCXLStream|SimMultiCoreStream' -benchmem -benchtime 200000x -count 1 . \
+	pairs() { \
+		GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench "$$1" -benchmem -benchtime 200000x -count 1 . \
 			| tee -a "$$tmp"; \
+	}; \
+	for round in 1 2 3 4 5 6 7 8 9; do \
+		if [ $$((round % 2)) -eq 1 ]; then \
+			pairs 'SimCXLStream|SimMultiCoreStream'; \
+		else \
+			for b in SimCXLStreamFlightOn SimCXLStreamFlightOff SimCXLStream \
+				SimMultiCoreStreamFlightOff SimMultiCoreStream; do \
+				pairs "^Benchmark$$b\$$"; \
+			done; \
+		fi; \
 	done; \
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'SimLocalStream|CaptureSnapshot|EpochLoop' -benchmem -benchtime 200000x -count 3 . \
 		| tee -a "$$tmp"; \

@@ -321,59 +321,47 @@ func BenchmarkCaptureSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkPFBuilder measures path-map construction per snapshot.
-func BenchmarkPFBuilder(b *testing.B) {
+// analysisBench returns a steady-state snapshot of a single-core CXL
+// stream and the plan the profiler would hold for it: the PF* benchmarks
+// time one *Into call per epoch, the per-epoch cost the profiler pays.
+func analysisBench(b *testing.B) (*core.Plan, *core.Snapshot, core.Consts) {
 	m, r := benchRig(b, 1)
 	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
 	cap := core.NewCapturer(m)
 	m.Run(2_000_000)
-	s := cap.Capture()
+	return core.NewPlan(cap.Index(), []int{0}, 0), cap.Capture(), core.ConstsFor(m.Config())
+}
+
+// BenchmarkPFBuilder measures path-map construction per snapshot.
+func BenchmarkPFBuilder(b *testing.B) {
+	plan, s, _ := analysisBench(b)
+	var pm core.PathMap
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.BuildPathMap(s, []int{0})
+		plan.BuildPathMapInto(s, &pm)
 	}
 }
 
 // BenchmarkPFEstimator measures the back-propagation per snapshot.
 func BenchmarkPFEstimator(b *testing.B) {
-	m, r := benchRig(b, 1)
-	k := core.ConstsFor(m.Config())
-	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
-	cap := core.NewCapturer(m)
-	m.Run(2_000_000)
-	s := cap.Capture()
+	plan, s, k := analysisBench(b)
+	var bd core.StallBreakdown
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.EstimateStalls(s, []int{0}, 0, k)
+		plan.EstimateStallsInto(s, k, &bd)
 	}
 }
 
 // BenchmarkPFAnalyzer measures the queue estimation per snapshot.
 func BenchmarkPFAnalyzer(b *testing.B) {
-	m, r := benchRig(b, 1)
-	k := core.ConstsFor(m.Config())
-	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
-	cap := core.NewCapturer(m)
-	m.Run(2_000_000)
-	s := cap.Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.AnalyzeQueues(s, []int{0}, 0, k)
-	}
-}
-
-// BenchmarkAnalyzeQueues measures the wait-time attribution per snapshot.
-func BenchmarkAnalyzeQueues(b *testing.B) {
-	m, r := benchRig(b, 1)
-	k := core.ConstsFor(m.Config())
-	m.Attach(0, workload.NewStream(r, 2, 0.2, 1))
-	cap := core.NewCapturer(m)
-	m.Run(2_000_000)
-	s := cap.Capture()
+	plan, s, k := analysisBench(b)
+	var qr core.QueueReport
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.AnalyzeQueues(s, []int{0}, 0, k)
+		plan.AnalyzeQueuesInto(s, k, &qr)
 	}
 }
 

@@ -196,7 +196,7 @@ func replay(args []string) {
 
 // spans runs a dependent pointer chase (or a catalog application) with the
 // flight recorder attached, prints the per-stage residency waterfall from
-// the recorder's stage aggregates, cross-checks it against AnalyzeQueues'
+// the recorder's stage aggregates, cross-checks it against PFAnalyzer's
 // Little's-law estimates, and optionally exports the recorded requests as
 // Chrome trace_event JSON for Perfetto.
 func spans(args []string) {
@@ -307,7 +307,7 @@ func spans(args []string) {
 		nReads := float64(stats[obs.StageM2PCIe].Spans)
 		obsFlex := float64(stats[obs.StageM2PCIe].Cycles)/clocks + (nReads/clocks)*k.LinkTransit
 
-		ct := &report.Table{Title: "observed residency vs AnalyzeQueues estimate (DRd path)",
+		ct := &report.Table{Title: "observed residency vs PFAnalyzer estimate (DRd path)",
 			Cols: []string{"component", "observed", "estimated", "delta"}}
 		addCheck := func(name string, got, want float64) {
 			delta := "n/a"

@@ -48,10 +48,11 @@ func main() {
 
 	seconds := float64(epoch) / (cfg.GHz * 1e9)
 	var bw, freq []float64
+	var pm core.PathMap
 	fmt.Println("instance | app bandwidth (MB/s) | PFBuilder CXL req/s")
 	for i, g := range gens {
 		mbps := float64(g.Loads+g.Stores) * 64 / seconds / 1e6
-		pm := core.BuildPathMap(snap, []int{i})
+		core.NewPlan(cap.Index(), []int{i}, 0).BuildPathMapInto(snap, &pm)
 		f := pm.CXLTraffic() / seconds
 		bw = append(bw, mbps)
 		freq = append(freq, f)
@@ -62,7 +63,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qr := core.AnalyzeQueues(snap, nil, 0, k)
+	var qr core.QueueReport
+	core.NewPlan(cap.Index(), nil, 0).AnalyzeQueuesInto(snap, k, &qr)
 	fmt.Printf("\nPearson(request frequency, bandwidth) = %.3f\n", r)
 	fmt.Printf("PFAnalyzer culprit: %v on %v\n", qr.CulpritPath, qr.CulpritComp)
 	fmt.Println("=> when the culprit sits at FlexBus+MC, request frequency predicts bandwidth share")

@@ -52,7 +52,13 @@ func main() {
 		machine.Run(6_000_000)
 		snap := cap.Capture()
 
-		bd := core.EstimateStalls(snap, []int{0}, 0, k)
+		plan := core.NewPlan(cap.Index(), []int{0}, 0)
+		var bd core.StallBreakdown
+		var qr core.QueueReport
+		var meas [core.CompCount]float64
+		plan.EstimateStallsInto(snap, k, &bd)
+		plan.MeasuredQueuesInto(snap, &meas)
+		plan.AnalyzeQueuesInto(snap, k, &qr)
 		inCore := 0.0
 		for _, c := range []core.Component{core.CompSB, core.CompL1D,
 			core.CompLFB, core.CompL2, core.CompLLC} {
@@ -60,8 +66,6 @@ func main() {
 				inCore += bd.Stall[p][c]
 			}
 		}
-		meas := core.MeasuredQueues(snap, []int{0}, 0)
-		qr := core.AnalyzeQueues(snap, []int{0}, 0, k)
 
 		fmt.Printf("   %3.0f%%   | %14.0f    | %7.2f   | %9.2f     | %v on %v\n",
 			share*100, inCore, meas[core.CompLFB], meas[core.CompFlexBusMC],

@@ -52,7 +52,7 @@ type Result struct {
 
 	// Bundle is the flight-recorder postmortem (obs.Bundle JSON) dumped
 	// automatically when the case tripped an invariant; nil on a clean run.
-	// Its aux section carries the case's AnalyzeQueues estimates so the
+	// Its aux section carries the case's PFAnalyzer queue estimates so the
 	// promoted tail spans can be cross-checked offline.
 	Bundle []byte
 }
@@ -401,7 +401,7 @@ const (
 )
 
 // violationBundle assembles the postmortem for a tripped case.  The aux
-// section carries the DRd-path AnalyzeQueues estimates and the run length,
+// section carries the DRd-path PFAnalyzer queue estimates and the run length,
 // making the bundle self-sufficient for residency cross-checks.  Bundling
 // is best-effort: a marshaling failure returns nil rather than masking the
 // violation itself.

@@ -17,7 +17,7 @@ type Probe struct {
 	Snapshot *core.Snapshot
 	Queues   *core.QueueReport
 	Stalls   *core.StallBreakdown
-	Measured map[core.Component]float64
+	Measured [core.CompCount]float64
 }
 
 // Invariant is one monitor: Check returns "" when the invariant holds,
@@ -32,14 +32,18 @@ var caseCores = []int{0, 1}
 
 func newProbe(c Case, cfg sim.Config, m *sim.Machine, snap *core.Snapshot) *Probe {
 	k := core.ConstsFor(cfg)
-	return &Probe{
+	p := &Probe{
 		Case:     c,
 		Cfg:      cfg,
 		Snapshot: snap,
-		Queues:   core.AnalyzeQueues(snap, caseCores, 0, k),
-		Stalls:   core.EstimateStalls(snap, caseCores, 0, k),
-		Measured: core.MeasuredQueues(snap, caseCores, 0),
+		Queues:   &core.QueueReport{},
+		Stalls:   &core.StallBreakdown{},
 	}
+	plan := core.NewPlan(snap.Index(), caseCores, 0)
+	plan.AnalyzeQueuesInto(snap, k, p.Queues)
+	plan.EstimateStallsInto(snap, k, p.Stalls)
+	plan.MeasuredQueuesInto(snap, &p.Measured)
+	return p
 }
 
 // invariants returns the built-in monitor list.  (A fresh slice per call:
@@ -85,7 +89,7 @@ func checkConservation(p *Probe) string {
 
 // checkQueueResidency verifies the measured occupancy integrals respect
 // the configured queue capacities — the time-averaged length of a bounded
-// queue can never exceed its entry count — and that the AnalyzeQueues
+// queue can never exceed its entry count — and that PFAnalyzer's queue
 // estimates stay non-negative.
 func checkQueueResidency(p *Probe) string {
 	s := p.Snapshot
@@ -109,21 +113,19 @@ func checkQueueResidency(p *Probe) string {
 			return fmt.Sprintf("%s average occupancy %.3f exceeds capacity %d", c.name, avg, c.cap)
 		}
 	}
-	if p.Measured != nil {
-		bound := float64(p.Cfg.CXLRPQEntries + p.Cfg.CXLWPQEntries + 2*p.Cfg.PackBufEntries)
-		if got := p.Measured[core.CompCXLDIMM]; got > bound+slack {
-			return fmt.Sprintf("measured CXL DIMM queue %.3f exceeds total capacity %.0f", got, bound)
-		}
-		lfbBound := float64(p.Cfg.LFBEntries * p.Cfg.Cores)
-		if got := p.Measured[core.CompLFB]; got > lfbBound+slack {
-			return fmt.Sprintf("measured LFB queue %.3f exceeds %d entries x %d cores",
-				got, p.Cfg.LFBEntries, p.Cfg.Cores)
-		}
+	bound := float64(p.Cfg.CXLRPQEntries + p.Cfg.CXLWPQEntries + 2*p.Cfg.PackBufEntries)
+	if got := p.Measured[core.CompCXLDIMM]; got > bound+slack {
+		return fmt.Sprintf("measured CXL DIMM queue %.3f exceeds total capacity %.0f", got, bound)
+	}
+	lfbBound := float64(p.Cfg.LFBEntries * p.Cfg.Cores)
+	if got := p.Measured[core.CompLFB]; got > lfbBound+slack {
+		return fmt.Sprintf("measured LFB queue %.3f exceeds %d entries x %d cores",
+			got, p.Cfg.LFBEntries, p.Cfg.Cores)
 	}
 	for pt := range p.Queues.Q {
 		for c, v := range p.Queues.Q[pt] {
 			if v < 0 {
-				return fmt.Sprintf("AnalyzeQueues estimate Q[%d][%d] = %g is negative", pt, c, v)
+				return fmt.Sprintf("PFAnalyzer estimate Q[%d][%d] = %g is negative", pt, c, v)
 			}
 		}
 	}
@@ -147,9 +149,9 @@ func checkNoNaN(p *Probe) string {
 			}
 		}
 	}
-	for _, c := range core.Components() {
-		if v, ok := p.Measured[c]; ok && !finite(v) {
-			return fmt.Sprintf("measured queue %v = %v", c, v)
+	for c, v := range p.Measured {
+		if !finite(v) {
+			return fmt.Sprintf("measured queue %v = %v", core.Component(c), v)
 		}
 	}
 	return ""

@@ -69,7 +69,8 @@ func TestEstimatorArithmetic(t *testing.T) {
 	r.set("cha0", pmu.TOROccupancyIA[pmu.IAMissCXL], 300_000)
 
 	k := testConsts()
-	bd := EstimateStalls(r.s, []int{0}, 0, k)
+	var bd, bd1 StallBreakdown
+	NewPlan(r.s.Index(), []int{0}, 0).EstimateStallsInto(r.s, k, &bd)
 
 	// Device stall distributed by flow share: 100/400 of 8000.
 	if got := bd.Stall[PathDRd][CompCXLDIMM]; got != 2000 {
@@ -90,7 +91,7 @@ func TestEstimatorArithmetic(t *testing.T) {
 	}
 
 	// The other flow takes the remaining 3/4 of the device stall.
-	bd1 := EstimateStalls(r.s, []int{1}, 0, k)
+	NewPlan(r.s.Index(), []int{1}, 0).EstimateStallsInto(r.s, k, &bd1)
 	if got := bd1.Stall[PathDRd][CompCXLDIMM]; got != 6000 {
 		t.Fatalf("core1 device stall = %v, want 6000", got)
 	}
@@ -114,7 +115,8 @@ func TestEstimatorInCoreAttribution(t *testing.T) {
 	r.set("core0", pmu.StallsL3Miss, 400)
 	r.set("core0", pmu.L1DPendMissFBFull, 50)
 
-	bd := EstimateStalls(r.s, []int{0}, 0, testConsts())
+	var bd StallBreakdown
+	NewPlan(r.s.Index(), []int{0}, 0).EstimateStallsInto(r.s, testConsts(), &bd)
 	if got := bd.Stall[PathDRd][CompL1D]; got != 300 {
 		t.Fatalf("L1D own stall = %v, want 1000-700", got)
 	}
@@ -135,10 +137,12 @@ func TestEstimatorHalfCXLFraction(t *testing.T) {
 	r.set("cha0", pmu.TOROccupancyIA[pmu.IAMissCXL], 4000)
 	r.set("core0", pmu.StallsL1DMiss, 1000)
 
-	if f := CXLWaitFraction(r.s); f != 0.5 {
+	plan := NewPlan(r.s.Index(), []int{0}, 0)
+	if f := plan.CXLWaitShare(r.s); f != 0.5 {
 		t.Fatalf("wait fraction = %v", f)
 	}
-	bd := EstimateStalls(r.s, []int{0}, 0, testConsts())
+	var bd StallBreakdown
+	plan.EstimateStallsInto(r.s, testConsts(), &bd)
 	if got := bd.Stall[PathDRd][CompL1D]; got != 500 {
 		t.Fatalf("half-scaled L1D stall = %v", got)
 	}
@@ -150,7 +154,8 @@ func TestAnalyzerLittlesLaw(t *testing.T) {
 	r := newSynthRig(1, 1, 1, 1, 10_000)
 	r.set("core0", pmu.MemLoadL1Hit, 1000)
 	r.set("core0", pmu.MemLoadL1Miss, 500)
-	qr := AnalyzeQueues(r.s, []int{0}, 0, testConsts())
+	var qr, qr2 QueueReport
+	NewPlan(r.s.Index(), []int{0}, 0).AnalyzeQueuesInto(r.s, testConsts(), &qr)
 	if got := qr.Q[PathDRd][CompL1D]; got != 0.7 {
 		t.Fatalf("L1D queue = %v, want 0.7", got)
 	}
@@ -162,7 +167,7 @@ func TestAnalyzerLittlesLaw(t *testing.T) {
 	r2.set("core0", pmu.OCRDemandDataRd[pmu.ScnMiss], 200)
 	r2.set("cha0", pmu.TOROccupancyIADRd[pmu.ScnMiss], 120_000)
 	r2.set("cha0", pmu.TORInsertsIADRd[pmu.ScnMiss], 200)
-	qr2 := AnalyzeQueues(r2.s, []int{0}, 0, testConsts())
+	NewPlan(r2.s.Index(), []int{0}, 0).AnalyzeQueuesInto(r2.s, testConsts(), &qr2)
 	want := (100*33.0 + 200*600.0) / 10_000
 	if got := qr2.Q[PathDRd][CompLLC]; got != want {
 		t.Fatalf("LLC queue = %v, want %v", got, want)
@@ -174,7 +179,9 @@ func TestAnalyzerLittlesLaw(t *testing.T) {
 
 func TestAnalyzerZeroCycles(t *testing.T) {
 	r := newSynthRig(1, 1, 1, 1, 0)
-	qr := AnalyzeQueues(r.s, []int{0}, 0, testConsts())
+	plan := NewPlan(r.s.Index(), []int{0}, 0)
+	var qr QueueReport
+	plan.AnalyzeQueuesInto(r.s, testConsts(), &qr)
 	for _, p := range Paths() {
 		for _, c := range Components() {
 			if qr.Q[p][c] != 0 {
@@ -182,8 +189,9 @@ func TestAnalyzerZeroCycles(t *testing.T) {
 			}
 		}
 	}
-	if MeasuredQueues(r.s, nil, 0) != nil {
-		t.Fatal("measured queues on a zero-length epoch")
+	var meas [CompCount]float64
+	if plan.MeasuredQueuesInto(r.s, &meas) || meas != [CompCount]float64{} {
+		t.Fatalf("measured queues on a zero-length epoch: %v", meas)
 	}
 }
 
@@ -197,7 +205,8 @@ func TestBuilderSyntheticRows(t *testing.T) {
 	r.set("core0", pmu.OCRDemandDataRd[pmu.ScnMissLocalDDR], 40)
 	r.set("core0", pmu.OCRDemandDataRd[pmu.ScnMissCXL], 50)
 
-	pm := BuildPathMap(r.s, []int{0})
+	var pm PathMap
+	NewPlan(r.s.Index(), []int{0}, 0).BuildPathMapInto(r.s, &pm)
 	want := map[Level]float64{
 		LvlL1D: 111, LvlLFB: 22, LvlL2: 33,
 		LvlLocalLLC: 7, LvlSNCLLC: 3, LvlLocalDRAM: 40, LvlCXL: 50,

@@ -16,33 +16,12 @@ type QueueReport struct {
 	DeviceDark bool
 }
 
-// AnalyzeQueues runs PFAnalyzer (Algorithm 1): it models each component as
-// an FCFS queue, combines hit/miss rates with hit/tag/miss delays through
-// Little's law (L = λ_hit·W_hit + λ_miss·W_miss at L1D/L2/LLC;
-// L = λ_hit·W_hit at LFB and the memory devices), and flags the
-// maximum-occupancy (path, component) pair as the culprit.
-//
-// This is the compatibility entry point: it compiles a throwaway read plan
-// per call.  Epoch loops should hold a Plan and use AnalyzeQueuesInto.
-func AnalyzeQueues(s *Snapshot, cores []int, dev int, k Consts) *QueueReport {
-	r := &QueueReport{}
-	NewPlan(s.idx, cores, dev).AnalyzeQueuesInto(s, k, r)
-	return r
-}
-
-// MeasuredQueues returns the directly-integrated average queue lengths per
-// component from the occupancy counters — the ground truth PFAnalyzer's
-// estimates are validated against in tests, and the series plotted in
-// Figures 8 and 10.  Epoch loops should use Plan.MeasuredQueuesInto.
-func MeasuredQueues(s *Snapshot, cores []int, dev int) map[Component]float64 {
-	var q [CompCount]float64
-	if !NewPlan(s.idx, cores, dev).MeasuredQueuesInto(s, &q) {
-		return nil
+// Component returns one component's estimated queue length summed over
+// every path, in Paths() order.
+func (r *QueueReport) Component(c Component) float64 {
+	var t float64
+	for _, p := range Paths() {
+		t += r.Q[p][c]
 	}
-	return map[Component]float64{
-		CompLFB:       q[CompLFB],
-		CompCHA:       q[CompCHA],
-		CompFlexBusMC: q[CompFlexBusMC],
-		CompCXLDIMM:   q[CompCXLDIMM],
-	}
+	return t
 }

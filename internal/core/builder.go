@@ -8,25 +8,6 @@ type PathMap struct {
 	Load  [PathCount][LevelCount]float64
 }
 
-// BuildPathMap constructs the path map for the flows originating from the
-// given cores (nil = all) by synthesizing the Table 5 counters: per-core
-// hit counters for the on-core levels, offcore-response scenario counters
-// for the uncore destinations, and device-level ground truth for
-// writeback targets.
-//
-// Documented PMU blind spots are preserved faithfully (§5.9): RFO and DWr
-// cannot be observed at L1D/LFB; the L2 RFO counter mixes demand and
-// prefetch RFOs; HWPF hits cannot be split between the local and distant
-// SNC cluster per-core, so the split is estimated from the DRd ratio.
-//
-// This is the compatibility entry point: it compiles a throwaway read plan
-// per call.  Epoch loops should hold a Plan and use BuildPathMapInto.
-func BuildPathMap(s *Snapshot, cores []int) *PathMap {
-	pm := &PathMap{}
-	NewPlan(s.idx, cores, 0).BuildPathMapInto(s, pm)
-	return pm
-}
-
 // PathTotal returns the total traffic load of a path across all levels.
 func (pm *PathMap) PathTotal(p PathType) float64 {
 	var t float64

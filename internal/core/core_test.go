@@ -168,8 +168,9 @@ func TestPathMapLocalVsCXL(t *testing.T) {
 	m.Run(3_000_000)
 	s := cap.Capture()
 
-	pmLocal := BuildPathMap(s, []int{0})
-	pmCXL := BuildPathMap(s, []int{1})
+	var pmLocal, pmCXL PathMap
+	NewPlan(s.Index(), []int{0}, 0).BuildPathMapInto(s, &pmLocal)
+	NewPlan(s.Index(), []int{1}, 0).BuildPathMapInto(s, &pmCXL)
 
 	if pmLocal.Load[PathDRd][LvlCXL] != 0 {
 		t.Fatalf("local flow shows CXL DRd traffic: %v", pmLocal.Load[PathDRd][LvlCXL])
@@ -209,7 +210,8 @@ func TestPathMapStores(t *testing.T) {
 	m.Attach(0, g)
 	m.Run(5_000_000)
 	s := cap.Capture()
-	pm := BuildPathMap(s, []int{0})
+	var pm PathMap
+	NewPlan(s.Index(), []int{0}, 0).BuildPathMapInto(s, &pm)
 	if pm.Load[PathDWr][LvlSB] == 0 {
 		t.Fatal("no SB-absorbed stores")
 	}
@@ -232,7 +234,8 @@ func TestHotPathHelpers(t *testing.T) {
 	m.Attach(0, g)
 	m.Run(3_000_000)
 	s := cap.Capture()
-	pm := BuildPathMap(s, []int{0})
+	var pm PathMap
+	NewPlan(s.Index(), []int{0}, 0).BuildPathMapInto(s, &pm)
 	if got := pm.HotPathCore(); got != PathDRd {
 		t.Fatalf("core hot path = %v, want DRd (L1 hits dominate)", got)
 	}
@@ -252,17 +255,18 @@ func TestHotPathHelpers(t *testing.T) {
 func TestCXLWaitFraction(t *testing.T) {
 	m, local, cxl := testRig(t)
 	cap := NewCapturer(m)
+	plan := NewPlan(cap.Index(), nil, 0)
 	m.Attach(0, workload.NewPointerChase(region(local), 2, 1))
 	m.Run(2_000_000)
 	sLocal := cap.Capture()
-	if f := CXLWaitFraction(sLocal); f != 0 {
+	if f := plan.CXLWaitShare(sLocal); f != 0 {
 		t.Fatalf("local-only CXL wait fraction = %v", f)
 	}
 	m.Detach(0)
 	m.Attach(1, workload.NewPointerChase(region(cxl), 2, 2))
 	m.Run(2_000_000)
 	sCXL := cap.Capture()
-	if f := CXLWaitFraction(sCXL); f < 0.5 {
+	if f := plan.CXLWaitShare(sCXL); f < 0.5 {
 		t.Fatalf("CXL-only wait fraction = %v, want > 0.5", f)
 	}
 }
@@ -275,7 +279,8 @@ func TestStallBreakdownShape(t *testing.T) {
 	m.Run(4_000_000)
 	s := cap.Capture()
 
-	bd := EstimateStalls(s, []int{0}, 0, k)
+	var bd StallBreakdown
+	NewPlan(s.Index(), []int{0}, 0).EstimateStallsInto(s, k, &bd)
 	if bd.Total(PathDRd) == 0 {
 		t.Fatal("no DRd stall attributed")
 	}
@@ -302,7 +307,8 @@ func TestStallBreakdownLocalFlowIsClean(t *testing.T) {
 	m.Attach(0, workload.NewPointerChase(region(local), 2, 6))
 	m.Run(2_000_000)
 	s := cap.Capture()
-	bd := EstimateStalls(s, []int{0}, 0, k)
+	var bd StallBreakdown
+	NewPlan(s.Index(), []int{0}, 0).EstimateStallsInto(s, k, &bd)
 	for _, p := range Paths() {
 		if tot := bd.Total(p); tot != 0 {
 			t.Fatalf("local-only flow attributed %v CXL stall on %v", tot, p)
@@ -337,7 +343,9 @@ func TestAnalyzerCulpritUnderCXLSaturation(t *testing.T) {
 	}
 	m.Run(2_500_000)
 	s := cap.Capture()
-	qr := AnalyzeQueues(s, nil, 0, k)
+	plan := NewPlan(s.Index(), nil, 0)
+	var qr QueueReport
+	plan.AnalyzeQueuesInto(s, k, &qr)
 	if qr.CulpritComp != CompFlexBusMC && qr.CulpritComp != CompCXLDIMM && qr.CulpritComp != CompLFB {
 		t.Fatalf("culprit = %v on %v, want a CXL-pressure component", qr.CulpritPath, qr.CulpritComp)
 	}
@@ -347,7 +355,8 @@ func TestAnalyzerCulpritUnderCXLSaturation(t *testing.T) {
 	if heavy <= 0 {
 		t.Fatal("no FlexBus+MC queueing under saturation")
 	}
-	meas := MeasuredQueues(s, nil, 0)
+	var meas [CompCount]float64
+	plan.MeasuredQueuesInto(s, &meas)
 	if meas[CompFlexBusMC]+meas[CompCXLDIMM] < 5 {
 		t.Fatalf("device-side measured queues too small under saturation: %v", meas)
 	}
@@ -360,8 +369,11 @@ func TestAnalyzerAgainstMeasured(t *testing.T) {
 	m.Attach(0, workload.NewPointerChase(region(cxl), 1, 7))
 	m.Run(4_000_000)
 	s := cap.Capture()
-	qr := AnalyzeQueues(s, []int{0}, 0, k)
-	meas := MeasuredQueues(s, []int{0}, 0)
+	plan := NewPlan(s.Index(), []int{0}, 0)
+	var qr QueueReport
+	var meas [CompCount]float64
+	plan.AnalyzeQueuesInto(s, k, &qr)
+	plan.MeasuredQueuesInto(s, &meas)
 
 	// The LFB estimate must land within 3x of the directly-integrated
 	// occupancy (Little's law over measured delays).
@@ -489,26 +501,6 @@ func TestProfilerSpecValidation(t *testing.T) {
 	}
 }
 
-func TestEstimateStallsAll(t *testing.T) {
-	m, _, cxl := testRig(t)
-	k := ConstsFor(m.Config())
-	cap := NewCapturer(m)
-	m.Attach(0, workload.NewPointerChase(region(cxl), 2, 5))
-	m.Run(2_000_000)
-	s := cap.Capture()
-	single := EstimateStalls(s, []int{0}, 0, k)
-	all := EstimateStallsAll(s, []int{0}, k)
-	// One device: identical attribution.
-	for _, p := range Paths() {
-		for _, c := range Components() {
-			if single.Stall[p][c] != all.Stall[p][c] {
-				t.Fatalf("single-device mismatch at %v/%v: %v vs %v",
-					p, c, single.Stall[p][c], all.Stall[p][c])
-			}
-		}
-	}
-}
-
 func TestProfilerMigrate(t *testing.T) {
 	m, local, _ := testRig(t)
 	p, err := NewProfiler(Spec{
@@ -576,7 +568,10 @@ func TestApproximationTracksRealSubstrate(t *testing.T) {
 		for m.Core(0).Running() && m.Now() < deadline {
 			m.Run(2_000_000)
 		}
-		return BuildPathMap(cap.Capture(), []int{0})
+		s := cap.Capture()
+		pm := &PathMap{}
+		NewPlan(s.Index(), []int{0}, 0).BuildPathMapInto(s, pm)
+		return pm
 	}
 	approx := run("BFS")   // statistical graph shape
 	real := run("BFS-CSR") // actual CSR traversal

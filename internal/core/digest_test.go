@@ -40,8 +40,10 @@ func TestDigestRoundTrip(t *testing.T) {
 		}
 	}
 	// The analyses must produce identical results on the decoded snapshot.
-	pm1 := BuildPathMap(s, []int{1})
-	pm2 := BuildPathMap(got, []int{1})
+	// The decoded snapshot carries its own layout, so it needs its own plan.
+	var pm1, pm2 PathMap
+	NewPlan(s.Index(), []int{1}, 0).BuildPathMapInto(s, &pm1)
+	NewPlan(got.Index(), []int{1}, 0).BuildPathMapInto(got, &pm2)
 	if pm1.Load != pm2.Load {
 		t.Fatal("path maps differ after digest round trip")
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pathfinder/internal/pmu"
-	"pathfinder/internal/sim"
-)
+import "pathfinder/internal/sim"
 
 // Consts is the white-box architectural model PathFinder carries for the
 // profiled machine: fixed per-hop latencies used where no counter measures
@@ -48,6 +45,16 @@ func (b *StallBreakdown) Total(p PathType) float64 {
 	return t
 }
 
+// Component returns one component's attributed stall cycles summed over
+// every path, in Paths() order.
+func (b *StallBreakdown) Component(c Component) float64 {
+	var t float64
+	for _, p := range Paths() {
+		t += b.Stall[p][c]
+	}
+	return t
+}
+
 // Share returns the fraction of a path's stall at one component.
 func (b *StallBreakdown) Share(p PathType, c Component) float64 {
 	t := b.Total(p)
@@ -55,62 +62,4 @@ func (b *StallBreakdown) Share(p PathType, c Component) float64 {
 		return 0
 	}
 	return b.Stall[p][c] / t
-}
-
-// CXLWaitFraction estimates the CXL-induced share of all offcore waiting in
-// the snapshot from the TOR residency integrals: the occupancy of
-// CXL-destined entries over the occupancy of all core-originated entries.
-// This is the bottom-up signal PFEstimator uses instead of naive
-// miss-target proportions (§5.3).
-func CXLWaitFraction(s *Snapshot) float64 {
-	all := s.CHASum(pmu.TOROccupancyIA[pmu.IAAll])
-	if all <= 0 {
-		return 0
-	}
-	cxl := s.CHASum(pmu.TOROccupancyIA[pmu.IAMissCXL])
-	f := cxl / all
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-// EstimateStallsAll runs the back-propagation across every CXL device in
-// the snapshot and sums the attributions — the full outer loop of
-// Algorithm 2 over all FlexBus root complexes (pooled configurations).
-func EstimateStallsAll(s *Snapshot, cores []int, k Consts) *StallBreakdown {
-	out := &StallBreakdown{}
-	for dev := 0; dev < s.NumCXL(); dev++ {
-		bd := EstimateStalls(s, cores, dev, k)
-		for p := range out.Stall {
-			for c := range out.Stall[p] {
-				out.Stall[p][c] += bd.Stall[p][c]
-			}
-		}
-	}
-	// The in-core components were attributed once per device; they are
-	// snapshot-global, so keep a single copy.
-	if n := float64(s.NumCXL()); n > 1 {
-		for _, c := range []Component{CompSB, CompL1D, CompLFB, CompL2, CompLLC} {
-			for p := range out.Stall {
-				out.Stall[p][c] /= n
-			}
-		}
-	}
-	return out
-}
-
-// EstimateStalls runs the PFEstimator back-propagation (Algorithm 2) for
-// the flows originating at the given cores (nil = all) toward CXL device
-// dev.  Starting from the device queue occupancies, stall is distributed
-// backward — device -> FlexBus RC -> uncore/CHA -> core components —
-// proportionally to each segment's attributable traffic, with each segment
-// adding its own measured waiting.
-//
-// This is the compatibility entry point: it compiles a throwaway read plan
-// per call.  Epoch loops should hold a Plan and use EstimateStallsInto.
-func EstimateStalls(s *Snapshot, cores []int, dev int, k Consts) *StallBreakdown {
-	bd := &StallBreakdown{}
-	NewPlan(s.idx, cores, dev).EstimateStallsInto(s, k, bd)
-	return bd
 }

@@ -462,20 +462,24 @@ func legacyEncodeDigest(seq int, s *legacySnap) Digest {
 func goldenCompare(t *testing.T, name string, s *Snapshot, cores []int, k Consts) {
 	t.Helper()
 	ls := legacyView(s)
+	plan := NewPlan(s.Index(), cores, 0)
 
-	pmNew := BuildPathMap(s, cores)
+	var pmNew PathMap
+	plan.BuildPathMapInto(s, &pmNew)
 	pmOld := legacyBuildPathMap(ls, cores)
 	if pmNew.Load != pmOld.Load {
 		t.Fatalf("%s: path map diverged\nnew: %+v\nold: %+v", name, pmNew.Load, pmOld.Load)
 	}
 
-	bdNew := EstimateStalls(s, cores, 0, k)
+	var bdNew StallBreakdown
+	plan.EstimateStallsInto(s, k, &bdNew)
 	bdOld := legacyEstimateStalls(ls, cores, 0, k)
 	if bdNew.Stall != bdOld.Stall {
 		t.Fatalf("%s: stall breakdown diverged\nnew: %+v\nold: %+v", name, bdNew.Stall, bdOld.Stall)
 	}
 
-	qrNew := AnalyzeQueues(s, cores, 0, k)
+	var qrNew QueueReport
+	plan.AnalyzeQueuesInto(s, k, &qrNew)
 	qrOld := legacyAnalyzeQueues(ls, cores, 0, k)
 	if qrNew.Q != qrOld.Q {
 		t.Fatalf("%s: queue report diverged\nnew: %+v\nold: %+v", name, qrNew.Q, qrOld.Q)

@@ -15,7 +15,7 @@ import (
 // TestSpanResidencyMatchesQueueAnalysis is the flight recorder's
 // ground-truth check: for a pure pointer chase on CXL memory, the per-stage
 // residency aggregated from every flight record must agree with the
-// Little's-law queue estimates AnalyzeQueues derives from the PMU occupancy
+// Little's-law queue estimates PFAnalyzer derives from the PMU occupancy
 // integrals — the CXL-path acceptance criterion (within 10%).
 func TestSpanResidencyMatchesQueueAnalysis(t *testing.T) {
 	as := mem.NewAddressSpace(12, []mem.Node{

@@ -7,23 +7,20 @@ import (
 )
 
 // Plan is a precompiled read plan for one flow: the arena offsets of the
-// flow's core banks, the socket-wide core/CHA/IMC banks, and the M2PCIe +
-// device banks of one CXL port, all resolved once against a BankIndex.
+// flow's core banks and of the M2PCIe + device banks of one CXL port,
+// resolved once against a BankIndex, whose shared present-offset lists
+// serve the socket-wide core/CHA/IMC/CXL sums.
 // The analyses (PFBuilder, PFEstimator, PFAnalyzer) run off a plan as flat
 // slice walks — no name formatting, no map lookups, no per-epoch setup.
 //
-// The profiler builds one plan per application at construction time; the
-// free functions (BuildPathMap, EstimateStalls, AnalyzeQueues) build a
-// throwaway plan per call for API compatibility.
+// Plans are the only way to run the analyses: the profiler compiles one per
+// application at construction time, and one-shot callers compile one per
+// (rig, flow, port) and call the *Into methods.
 type Plan struct {
 	idx   *BankIndex
 	cores []int // the flow's core set as given (nil = all cores)
 
 	flow []int // arena offsets of the flow's core banks
-	all  []int // arena offsets of every core bank
-	cha  []int // arena offsets of every CHA bank
-	imc  []int // arena offsets of every IMC channel bank
-	cxl  []int // arena offsets of every CXL device bank
 
 	dev            int // the CXL device the flow is analyzed against
 	m2pOff, cxlOff int // that device's M2PCIe and device-bank offsets
@@ -36,20 +33,16 @@ func NewPlan(idx *BankIndex, cores []int, dev int) *Plan {
 	p := &Plan{
 		idx:   idx,
 		cores: cores,
-		all:   presentOffsets(idx.core),
-		cha:   presentOffsets(idx.cha),
-		imc:   presentOffsets(idx.imc),
-		cxl:   presentOffsets(idx.cxl),
 		dev:   dev,
 		// The device offsets resolve leniently (-1 when absent) so plans
-		// that never touch the port — BuildPathMap has no device notion —
+		// that never touch the port — PFBuilder has no device notion —
 		// still compile against partial layouts; an actual M2P/CXL read of
 		// a missing bank panics descriptively at that point.
 		m2pOff: groupOffset(idx.m2p, dev),
 		cxlOff: groupOffset(idx.cxl, dev),
 	}
 	if cores == nil {
-		p.flow = p.all
+		p.flow = idx.corePresent
 	} else {
 		p.flow = make([]int, len(cores))
 		for i, c := range cores {
@@ -57,17 +50,6 @@ func NewPlan(idx *BankIndex, cores []int, dev int) *Plan {
 		}
 	}
 	return p
-}
-
-// presentOffsets collects a group's non-hole arena offsets in instance order.
-func presentOffsets(group []int) []int {
-	out := make([]int, 0, len(group))
-	for _, off := range group {
-		if off >= 0 {
-			out = append(out, off)
-		}
-	}
-	return out
 }
 
 // groupOffset resolves one instance without panicking: -1 when absent.
@@ -100,7 +82,9 @@ func sumAt(arena []uint64, offs []int, e pmu.Event) float64 {
 func (p *Plan) CoreSum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.flow, e) }
 
 // AllCoreSum sums an event over every core on the socket.
-func (p *Plan) AllCoreSum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.all, e) }
+func (p *Plan) AllCoreSum(s *Snapshot, e pmu.Event) float64 {
+	return sumAt(s.arena, p.idx.corePresent, e)
+}
 
 // FamilySum sums one scenario of an OCR-style family over the flow's cores.
 func (p *Plan) FamilySum(s *Snapshot, fam pmu.Family, scn int) float64 {
@@ -109,14 +93,8 @@ func (p *Plan) FamilySum(s *Snapshot, fam pmu.Family, scn int) float64 {
 
 // AllFamilySum sums one scenario of a family over every core.
 func (p *Plan) AllFamilySum(s *Snapshot, fam pmu.Family, scn int) float64 {
-	return sumAt(s.arena, p.all, fam.At(scn))
+	return sumAt(s.arena, p.idx.corePresent, fam.At(scn))
 }
-
-// CHASum sums an event over all CHA slices.
-func (p *Plan) CHASum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.cha, e) }
-
-// IMCSum sums an event over all IMC channels.
-func (p *Plan) IMCSum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.imc, e) }
 
 // M2P reads an event from the plan device's M2PCIe bank.
 func (p *Plan) M2P(s *Snapshot, e pmu.Event) float64 {
@@ -135,13 +113,20 @@ func (p *Plan) CXL(s *Snapshot, e pmu.Event) float64 {
 }
 
 // cxlSum sums an event over every CXL device bank.
-func (p *Plan) cxlSum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.cxl, e) }
+func (p *Plan) cxlSum(s *Snapshot, e pmu.Event) float64 { return sumAt(s.arena, p.idx.cxlPresent, e) }
 
 // --- PFBuilder (§4.3) -------------------------------------------------------
 
-// BuildPathMapInto constructs the flow's path map into pm, overwriting it.
-// The algorithm and its documented PMU blind spots are those of
-// BuildPathMap; see builder.go.
+// BuildPathMapInto runs PFBuilder: it constructs the flow's path map into
+// pm, overwriting it, by synthesizing the Table 5 counters: per-core hit
+// counters for the on-core levels, offcore-response scenario counters for
+// the uncore destinations, and device-level ground truth for writeback
+// targets.
+//
+// Documented PMU blind spots are preserved faithfully (§5.9): RFO and DWr
+// cannot be observed at L1D/LFB; the L2 RFO counter mixes demand and
+// prefetch RFOs; HWPF hits cannot be split between the local and distant
+// SNC cluster per-core, so the split is estimated from the DRd ratio.
 func (p *Plan) BuildPathMapInto(s *Snapshot, pm *PathMap) {
 	p.check(s)
 	pm.Cores = p.cores
@@ -210,7 +195,7 @@ func (p *Plan) BuildPathMapInto(s *Snapshot, pm *PathMap) {
 	if allWB > 0 {
 		share = flowWB / allWB
 	}
-	dwr[LvlLocalDRAM] = p.IMCSum(s, pmu.WPQInserts) * share
+	dwr[LvlLocalDRAM] = s.IMCSum(pmu.WPQInserts) * share
 	cxlWr := p.cxlSum(s, pmu.CXLRxPackBufInsertsData)
 	dwr[LvlCXL] = cxlWr * share
 }
@@ -268,16 +253,16 @@ func (p *Plan) llcMissDelay(s *Snapshot, pt PathType) float64 {
 	var occ, ins float64
 	switch pt {
 	case PathDRd:
-		occ = p.CHASum(s, pmu.TOROccupancyIADRd[pmu.ScnMiss])
-		ins = p.CHASum(s, pmu.TORInsertsIADRd[pmu.ScnMiss])
+		occ = s.CHASum(pmu.TOROccupancyIADRd[pmu.ScnMiss])
+		ins = s.CHASum(pmu.TORInsertsIADRd[pmu.ScnMiss])
 	case PathRFO:
-		occ = p.CHASum(s, pmu.TOROccupancyIARFO[pmu.RFOMiss])
-		ins = p.CHASum(s, pmu.TORInsertsIARFO[pmu.RFOMiss])
+		occ = s.CHASum(pmu.TOROccupancyIARFO[pmu.RFOMiss])
+		ins = s.CHASum(pmu.TORInsertsIARFO[pmu.RFOMiss])
 	case PathHWPF:
-		occ = p.CHASum(s, pmu.TOROccupancyIADRdPref[pmu.ScnMiss]) +
-			p.CHASum(s, pmu.TOROccupancyIARFOPref[pmu.RFOMiss])
-		ins = p.CHASum(s, pmu.TORInsertsIADRdPref[pmu.ScnMiss]) +
-			p.CHASum(s, pmu.TORInsertsIARFOPref[pmu.RFOMiss])
+		occ = s.CHASum(pmu.TOROccupancyIADRdPref[pmu.ScnMiss]) +
+			s.CHASum(pmu.TOROccupancyIARFOPref[pmu.RFOMiss])
+		ins = s.CHASum(pmu.TORInsertsIADRdPref[pmu.ScnMiss]) +
+			s.CHASum(pmu.TORInsertsIARFOPref[pmu.RFOMiss])
 	}
 	if ins == 0 {
 		return 0
@@ -374,9 +359,10 @@ func (p *Plan) AnalyzeQueuesInto(s *Snapshot, k Consts, r *QueueReport) {
 }
 
 // MeasuredQueuesInto writes the directly-integrated average queue length of
-// each instrumented component into q (zeroing the rest) — the ground truth
-// PFAnalyzer's estimates are validated against.  It reports false when the
-// snapshot window is empty.
+// each instrumented component (LFB, CHA, FlexBus+MC, CXL DIMM) into q,
+// zeroing the rest — the ground truth PFAnalyzer's estimates are validated
+// against, and the series plotted in Figures 8 and 10.  It reports false
+// (q all zero) when the snapshot window is empty.
 func (p *Plan) MeasuredQueuesInto(s *Snapshot, q *[CompCount]float64) bool {
 	p.check(s)
 	*q = [CompCount]float64{}
@@ -385,7 +371,7 @@ func (p *Plan) MeasuredQueuesInto(s *Snapshot, q *[CompCount]float64) bool {
 		return false
 	}
 	q[CompLFB] = p.CoreSum(s, pmu.L1DPendMissPending) / clocks
-	q[CompCHA] = p.CHASum(s, pmu.TOROccupancyIA[pmu.IAAll]) / clocks
+	q[CompCHA] = s.CHASum(pmu.TOROccupancyIA[pmu.IAAll]) / clocks
 	q[CompFlexBusMC] = p.M2P(s, pmu.M2PRxOccupancy) / clocks
 	q[CompCXLDIMM] = (p.CXL(s, pmu.CXLDevRPQOccupancy) +
 		p.CXL(s, pmu.CXLRxPackBufOccReq) +
@@ -403,14 +389,18 @@ func (p *Plan) deviceDark(s *Snapshot) bool {
 
 // --- PFEstimator (§4.4) -----------------------------------------------------
 
-// CXLWaitShare estimates the CXL-induced share of all offcore waiting from
-// the TOR residency integrals (see CXLWaitFraction).
+// CXLWaitShare estimates the CXL-induced share of all offcore waiting in
+// the snapshot from the TOR residency integrals: the occupancy of
+// CXL-destined entries over the occupancy of all core-originated entries.
+// This is the bottom-up signal PFEstimator uses instead of naive
+// miss-target proportions (§5.3).  It is socket-wide: the plan's flow and
+// device do not enter it.
 func (p *Plan) CXLWaitShare(s *Snapshot) float64 {
-	all := p.CHASum(s, pmu.TOROccupancyIA[pmu.IAAll])
+	all := s.CHASum(pmu.TOROccupancyIA[pmu.IAAll])
 	if all <= 0 {
 		return 0
 	}
-	cxl := p.CHASum(s, pmu.TOROccupancyIA[pmu.IAMissCXL])
+	cxl := s.CHASum(pmu.TOROccupancyIA[pmu.IAMissCXL])
 	f := cxl / all
 	if f > 1 {
 		f = 1
@@ -419,10 +409,11 @@ func (p *Plan) CXLWaitShare(s *Snapshot) float64 {
 }
 
 // EstimateStallsInto runs the PFEstimator back-propagation (Algorithm 2)
-// into bd, overwriting it: starting from the device queue occupancies,
-// stall is distributed backward — device -> FlexBus RC -> uncore/CHA ->
-// core components — proportionally to each segment's attributable traffic,
-// with each segment adding its own measured waiting.
+// for the plan's flow toward its CXL device into bd, overwriting it:
+// starting from the device queue occupancies, stall is distributed
+// backward — device -> FlexBus RC -> uncore/CHA -> core components —
+// proportionally to each segment's attributable traffic, with each segment
+// adding its own measured waiting.
 func (p *Plan) EstimateStallsInto(s *Snapshot, k Consts, bd *StallBreakdown) {
 	p.check(s)
 	*bd = StallBreakdown{}
@@ -462,10 +453,10 @@ func (p *Plan) EstimateStallsInto(s *Snapshot, k Consts, bd *StallBreakdown) {
 	// Per-path TOR residency of CXL-destined entries (socket counters,
 	// scaled to the flow's share of that path's CXL traffic).
 	var torOcc [PathCount]float64
-	torOcc[PathDRd] = p.CHASum(s, pmu.TOROccupancyIADRd[pmu.ScnMissCXL])
-	torOcc[PathRFO] = p.CHASum(s, pmu.TOROccupancyIARFO[pmu.RFOMissCXL])
-	torOcc[PathHWPF] = p.CHASum(s, pmu.TOROccupancyIADRdPref[pmu.ScnMissCXL]) +
-		p.CHASum(s, pmu.TOROccupancyIARFOPref[pmu.RFOMissCXL])
+	torOcc[PathDRd] = s.CHASum(pmu.TOROccupancyIADRd[pmu.ScnMissCXL])
+	torOcc[PathRFO] = s.CHASum(pmu.TOROccupancyIARFO[pmu.RFOMissCXL])
+	torOcc[PathHWPF] = s.CHASum(pmu.TOROccupancyIADRdPref[pmu.ScnMissCXL]) +
+		s.CHASum(pmu.TOROccupancyIARFOPref[pmu.RFOMissCXL])
 
 	for _, pt := range readPaths {
 		fr := flowReads[pt]
@@ -517,7 +508,7 @@ func (p *Plan) EstimateStallsInto(s *Snapshot, k Consts, bd *StallBreakdown) {
 	// DWr path: SB-full stalls scaled by the CXL share of write drain, and
 	// the write-side device/FlexBus occupancies.
 	sbStall := p.CoreSum(s, pmu.ResourceStallsSB) + p.CoreSum(s, pmu.ExeBoundOnStores)
-	localWr := p.IMCSum(s, pmu.WPQInserts)
+	localWr := s.IMCSum(pmu.WPQInserts)
 	wrFrac := 0.0
 	if devWrites+localWr > 0 {
 		wrFrac = devWrites / (devWrites + localWr)
@@ -529,7 +520,7 @@ func (p *Plan) EstimateStallsInto(s *Snapshot, k Consts, bd *StallBreakdown) {
 		wbShare = flowWB / allWB
 	}
 	bd.Stall[PathDWr][CompSB] = sbStall * wrFrac
-	bd.Stall[PathDWr][CompCHA] = p.CHASum(s, pmu.TOROccupancyIAWBMToI) * wbShare
+	bd.Stall[PathDWr][CompCHA] = s.CHASum(pmu.TOROccupancyIAWBMToI) * wbShare
 	bd.Stall[PathDWr][CompFlexBusMC] = m2pWrite*wbShare + devWrites*wbShare*k.LinkTransit
 	bd.Stall[PathDWr][CompCXLDIMM] = devWriteOcc * wbShare
 }

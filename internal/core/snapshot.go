@@ -25,7 +25,9 @@ type BankIndex struct {
 	// A hole (offset -1) marks an instance the layout does not carry.
 	core, cha, imc, m2p, cxl []int
 
-	nCores, nCHA, nIMC, nCXL int // present (non-hole) banks per group
+	// The present (non-hole) offsets of each socket-wide group, in instance
+	// order: the one read path for every all-instance sum.
+	corePresent, chaPresent, imcPresent, cxlPresent []int
 }
 
 // NewBankIndex builds the columnar layout for an ordered bank-name list.
@@ -56,21 +58,21 @@ func NewBankIndex(names []string, eventCount int) *BankIndex {
 			switch prefix {
 			case "core":
 				place(&idx.core, inst, slot)
-				idx.nCores++
 			case "cha":
 				place(&idx.cha, inst, slot)
-				idx.nCHA++
 			case "imc":
 				place(&idx.imc, inst, slot)
-				idx.nIMC++
 			case "m2pcie":
 				place(&idx.m2p, inst, slot)
 			case "cxl":
 				place(&idx.cxl, inst, slot)
-				idx.nCXL++
 			}
 		}
 	}
+	idx.corePresent = presentOffsets(idx.core)
+	idx.chaPresent = presentOffsets(idx.cha)
+	idx.imcPresent = presentOffsets(idx.imc)
+	idx.cxlPresent = presentOffsets(idx.cxl)
 	idx.sorted = make([]int, len(idx.names))
 	for i := range idx.sorted {
 		idx.sorted[i] = i
@@ -79,6 +81,17 @@ func NewBankIndex(names []string, eventCount int) *BankIndex {
 		return idx.names[idx.sorted[a]] < idx.names[idx.sorted[b]]
 	})
 	return idx
+}
+
+// presentOffsets collects a group's non-hole arena offsets in instance order.
+func presentOffsets(group []int) []int {
+	out := make([]int, 0, len(group))
+	for _, off := range group {
+		if off >= 0 {
+			out = append(out, off)
+		}
+	}
+	return out
 }
 
 // IndexFor builds the bank index of a machine's PMU layout.
@@ -280,13 +293,13 @@ func (c *Capturer) PoolStats() (hits, misses uint64) {
 func (s *Snapshot) Cycles() float64 { return float64(s.End - s.Start) }
 
 // NumCores returns the number of core banks in the snapshot.
-func (s *Snapshot) NumCores() int { return s.idx.nCores }
+func (s *Snapshot) NumCores() int { return len(s.idx.corePresent) }
 
 // NumCHA returns the number of CHA banks.
-func (s *Snapshot) NumCHA() int { return s.idx.nCHA }
+func (s *Snapshot) NumCHA() int { return len(s.idx.chaPresent) }
 
 // NumCXL returns the number of CXL device banks.
-func (s *Snapshot) NumCXL() int { return s.idx.nCXL }
+func (s *Snapshot) NumCXL() int { return len(s.idx.cxlPresent) }
 
 // Core reads an event delta from core i's bank.
 func (s *Snapshot) Core(i int, e pmu.Event) float64 {
@@ -296,15 +309,10 @@ func (s *Snapshot) Core(i int, e pmu.Event) float64 {
 // CoreSum reads an event delta summed over the given cores (all cores when
 // the slice is nil).
 func (s *Snapshot) CoreSum(cores []int, e pmu.Event) float64 {
-	var t uint64
 	if cores == nil {
-		for _, off := range s.idx.core {
-			if off >= 0 {
-				t += s.arena[off+int(e)]
-			}
-		}
-		return float64(t)
+		return sumAt(s.arena, s.idx.corePresent, e)
 	}
+	var t uint64
 	for _, i := range cores {
 		t += s.arena[s.idx.CoreBank(i)+int(e)]
 	}
@@ -318,26 +326,10 @@ func (s *Snapshot) CHA(i int, e pmu.Event) float64 {
 
 // CHASum reads an event delta summed over all CHA slices (the per-socket
 // scope of the paper's CHA counters).
-func (s *Snapshot) CHASum(e pmu.Event) float64 {
-	var t uint64
-	for _, off := range s.idx.cha {
-		if off >= 0 {
-			t += s.arena[off+int(e)]
-		}
-	}
-	return float64(t)
-}
+func (s *Snapshot) CHASum(e pmu.Event) float64 { return sumAt(s.arena, s.idx.chaPresent, e) }
 
 // IMCSum reads an event delta summed over all IMC channels.
-func (s *Snapshot) IMCSum(e pmu.Event) float64 {
-	var t uint64
-	for _, off := range s.idx.imc {
-		if off >= 0 {
-			t += s.arena[off+int(e)]
-		}
-	}
-	return float64(t)
-}
+func (s *Snapshot) IMCSum(e pmu.Event) float64 { return sumAt(s.arena, s.idx.imcPresent, e) }
 
 // M2P reads an event delta from the M2PCIe bank of CXL port dev.
 func (s *Snapshot) M2P(dev int, e pmu.Event) float64 {

@@ -55,16 +55,15 @@ func RunTMABaseline(cfg sim.Config, quick bool) *BaselineResult {
 		s := cap.Capture()
 
 		td := tma.Analyze(s, []int{0})
-		bd := core.EstimateStalls(s, []int{0}, 0, k)
-		qr := core.AnalyzeQueues(s, []int{0}, 0, k)
+		plan := core.NewPlan(cap.Index(), []int{0}, 0)
+		var bd core.StallBreakdown
+		var qr core.QueueReport
+		plan.EstimateStallsInto(s, k, &bd)
+		plan.AnalyzeQueuesInto(s, k, &qr)
 
 		topName, topV := "none (no CXL-induced stall)", 0.0
 		for _, c := range core.Components() {
-			var v float64
-			for _, p := range core.Paths() {
-				v += bd.Stall[p][c]
-			}
-			if v > topV {
+			if v := bd.Component(c); v > topV {
 				topName, topV = c.String(), v
 			}
 		}
@@ -73,7 +72,7 @@ func RunTMABaseline(cfg sim.Config, quick bool) *BaselineResult {
 			TMABottleneck:  td.Bottleneck(),
 			TMADRAMBound:   td.L3.DRAMBound,
 			PFCulprit:      qr.CulpritPath.String() + " on " + qr.CulpritComp.String(),
-			PFCXLFraction:  core.CXLWaitFraction(s),
+			PFCXLFraction:  plan.CXLWaitShare(s),
 			PFTopComponent: topName,
 		}
 		s.Release()

@@ -111,7 +111,8 @@ func RunFaults(cfg sim.Config, quick bool) *FaultsResult {
 		m.Run(epoch)
 		s := cap.Capture()
 
-		meas := core.MeasuredQueues(s, nil, 0)
+		var meas [core.CompCount]float64
+		core.NewPlan(cap.Index(), nil, 0).MeasuredQueuesInto(s, &meas)
 		flexQ, dimmQ := meas[core.CompFlexBusMC], meas[core.CompCXLDIMM]
 		culprit := core.CompCXLDIMM
 		if flexQ > dimmQ {

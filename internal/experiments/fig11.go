@@ -89,20 +89,22 @@ func runFig11Scenario(opt charOptions, k core.Consts, shape string, epoch sim.Cy
 	cap := core.NewCapturer(rig.Machine)
 	rig.Machine.Run(epoch)
 	s := cap.Capture()
+	var pm core.PathMap
 	for i := 0; i < 4; i++ {
 		res.Contended = append(res.Contended, bw(all[i], epoch))
 		cores := make([]int, threads)
 		for th := range cores {
 			cores[th] = i*threads + th
 		}
-		pm := core.BuildPathMap(s, cores)
+		core.NewPlan(cap.Index(), cores, 0).BuildPathMapInto(s, &pm)
 		res.ReqFreq = append(res.ReqFreq, pm.CXLTraffic()/secs(epoch, opt.cfg))
 	}
 	r, err := tsdb.Pearson(res.ReqFreq, res.Contended)
 	if err == nil {
 		res.Pearson = r
 	}
-	qr := core.AnalyzeQueues(s, nil, 0, k)
+	var qr core.QueueReport
+	core.NewPlan(cap.Index(), nil, 0).AnalyzeQueuesInto(s, k, &qr)
 	res.CulpritStr = qr.CulpritPath.String() + " on " + qr.CulpritComp.String()
 	s.Release()
 	return res

@@ -212,8 +212,9 @@ func RunFig13(cfg sim.Config, quick bool) *Fig13Result {
 		}
 		a.FlexLatOff = flexLat(sOff)
 		a.FlexLatOn = flexLat(sOn)
-		qrOff := core.AnalyzeQueues(sOff, []int{0}, 0, k)
-		qrOn := core.AnalyzeQueues(sOn, []int{0}, 0, k)
+		var qrOff, qrOn core.QueueReport
+		core.NewPlan(sOff.Index(), []int{0}, 0).AnalyzeQueuesInto(sOff, k, &qrOff)
+		core.NewPlan(sOn.Index(), []int{0}, 0).AnalyzeQueuesInto(sOn, k, &qrOn)
 		a.CulpritQOff = qrOff.Q[qrOff.CulpritPath][qrOff.CulpritComp]
 		a.CulpritQOn = qrOn.Q[qrOff.CulpritPath][qrOff.CulpritComp]
 		a.CulpritStr = qrOff.CulpritPath.String() + " on " + qrOff.CulpritComp.String()

@@ -31,7 +31,8 @@ func RunFig6(cfg sim.Config, quick bool) *Fig6Result {
 			panic("experiments: unknown app " + fig6Apps[i])
 		}
 		s := runPlacement(opt, app, 2)
-		out.Stalls[i] = core.EstimateStalls(s, []int{0}, 0, k)
+		out.Stalls[i] = &core.StallBreakdown{}
+		core.NewPlan(s.Index(), []int{0}, 0).EstimateStallsInto(s, k, out.Stalls[i])
 	})
 	return out
 }

@@ -58,29 +58,19 @@ func RunFig78(cfg sim.Config, quick bool) *Fig78Result {
 		}
 		s := cap.Capture()
 
-		bd := core.EstimateStalls(s, []int{0}, 0, k)
-		sum := func(c core.Component) float64 {
-			var t float64
-			for _, p := range core.Paths() {
-				t += bd.Stall[p][c]
-			}
-			return t
-		}
+		plan := core.NewPlan(cap.Index(), []int{0}, 0)
+		var bd core.StallBreakdown
+		plan.EstimateStallsInto(s, k, &bd)
 		stallRows[i] = []float64{
-			sum(core.CompSB), sum(core.CompL1D), sum(core.CompLFB),
-			sum(core.CompL2), sum(core.CompLLC)}
+			bd.Component(core.CompSB), bd.Component(core.CompL1D), bd.Component(core.CompLFB),
+			bd.Component(core.CompL2), bd.Component(core.CompLLC)}
 
-		qr := core.AnalyzeQueues(s, []int{0}, 0, k)
-		qsum := func(c core.Component) float64 {
-			var t float64
-			for _, p := range core.Paths() {
-				t += qr.Q[p][c]
-			}
-			return t
-		}
-		meas := core.MeasuredQueues(s, []int{0}, 0)
+		var qr core.QueueReport
+		var meas [core.CompCount]float64
+		plan.AnalyzeQueuesInto(s, k, &qr)
+		plan.MeasuredQueuesInto(s, &meas)
 		queueRows[i] = []float64{
-			qsum(core.CompL1D), meas[core.CompLFB], qsum(core.CompL2),
+			qr.Component(core.CompL1D), meas[core.CompLFB], qr.Component(core.CompL2),
 			meas[core.CompFlexBusMC], meas[core.CompCHA]}
 		s.Release()
 	})

@@ -83,18 +83,13 @@ func RunFig910(cfg sim.Config, quick bool) *Fig910Result {
 		m.Run(epoch)
 		s := cap.Capture()
 
-		bd := core.EstimateStalls(s, []int{0}, 0, k)
-		sumStall := func(c core.Component) float64 {
-			var t float64
-			for _, p := range core.Paths() {
-				t += bd.Stall[p][c]
-			}
-			return t
-		}
+		plan := core.NewPlan(cap.Index(), []int{0}, 0)
+		var bd core.StallBreakdown
+		plan.EstimateStallsInto(s, k, &bd)
 		rows[i].ops = float64(counting.Total())
 		rows[i].stall = []float64{
-			sumStall(core.CompSB), sumStall(core.CompL1D), sumStall(core.CompLFB),
-			sumStall(core.CompL2), sumStall(core.CompLLC)}
+			bd.Component(core.CompSB), bd.Component(core.CompL1D), bd.Component(core.CompLFB),
+			bd.Component(core.CompL2), bd.Component(core.CompLLC)}
 
 		// Uncore latencies from residency/throughput (socket scope).
 		chaLat := 0.0
@@ -107,17 +102,11 @@ func RunFig910(cfg sim.Config, quick bool) *Fig910Result {
 		}
 		rows[i].latency = []float64{chaLat, flexLat}
 
-		qr := core.AnalyzeQueues(s, []int{0}, 0, k)
-		qsum := func(c core.Component) float64 {
-			var t float64
-			for _, p := range core.Paths() {
-				t += qr.Q[p][c]
-			}
-			return t
-		}
+		var qr core.QueueReport
+		plan.AnalyzeQueuesInto(s, k, &qr)
 		rows[i].queues = []float64{
-			qsum(core.CompL1D), qsum(core.CompLFB), qsum(core.CompL2),
-			qsum(core.CompLLC),
+			qr.Component(core.CompL1D), qr.Component(core.CompLFB), qr.Component(core.CompL2),
+			qr.Component(core.CompLLC),
 			qr.Q[core.PathDRd][core.CompFlexBusMC],
 			qr.Q[core.PathHWPF][core.CompFlexBusMC]}
 		rows[i].culprit = qr.CulpritPath.String() + " on " + qr.CulpritComp.String()

@@ -88,11 +88,12 @@ func RunPool(cfg sim.Config, quick bool) *PoolResult {
 		out.DevLoads[di] = loads
 
 		// PFEstimator attributes per-device stall via each RC's counters.
-		bd0 := core.EstimateStalls(s, nil, 0, k)
+		var bd0, bd1 core.StallBreakdown
+		core.NewPlan(cap.Index(), nil, 0).EstimateStallsInto(s, k, &bd0)
 		total := bd0.Stall[core.PathDRd][core.CompCXLDIMM] + bd0.Stall[core.PathHWPF][core.CompCXLDIMM]
 		split := 1.0
 		if devs == 2 {
-			bd1 := core.EstimateStalls(s, nil, 1, k)
+			core.NewPlan(cap.Index(), nil, 1).EstimateStallsInto(s, k, &bd1)
 			other := bd1.Stall[core.PathDRd][core.CompCXLDIMM] + bd1.Stall[core.PathHWPF][core.CompCXLDIMM]
 			if total+other > 0 {
 				split = total / (total + other)

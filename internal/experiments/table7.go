@@ -31,7 +31,8 @@ func RunTable7(cfg sim.Config, quick bool) *Table7Result {
 	// FOTS: one long stencil epoch.
 	fotsApp, _ := workload.Lookup("FOTS")
 	sFots := runPlacement(opt, fotsApp, 2)
-	pmFots := core.BuildPathMap(sFots, []int{0})
+	pmFots := &core.PathMap{}
+	core.NewPlan(sFots.Index(), []int{0}, 0).BuildPathMapInto(sFots, pmFots)
 
 	// GCCS: phased; profile epochs and pick snapshots from two phases.
 	rig := NewRig(RigOptions{Config: opt.cfg})

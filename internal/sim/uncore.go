@@ -570,7 +570,7 @@ func (p *cxlPort) readRemoved(eng *Engine, arrival, txStart, devArrive Cycles) C
 // read performs a CXL.mem load (M2S Req -> S2M DRS) of line la arriving at
 // the M2PCIe ingress at arrival, returning the host data-return time.  The
 // device-path stage times land in rt when it is non-nil.  Their boundaries
-// mirror the occupancy integrals AnalyzeQueues reads: arrival..txStart is
+// mirror the occupancy integrals PFAnalyzer reads: arrival..txStart is
 // the M2PCIe ingress residency, devArrive..data the packing-buffer + RPQ
 // residency that prices the CXL DIMM queue estimate.
 func (p *cxlPort) read(eng *Engine, arrival Cycles, la uint64, rt *reqTimes) Cycles {
